@@ -7,7 +7,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import HypergraphStats
+from .core import HypergraphStats, InfeasibleError
 from .generators import GraphSpec
 
 DEFAULT_B_K = 1e-2
@@ -105,6 +105,11 @@ class RegimeParams:
     lambda_range: tuple[float, float]
 
 
+def _require_log_n(n: int) -> None:
+    if n < 2:
+        raise InfeasibleError(f"the bounds divide by ln n, which is not positive at n = {n}")
+
+
 def check_nice(
     stats: HypergraphStats, params: NicenessParams, p4_evidence=None
 ) -> NicenessReport:
@@ -116,6 +121,7 @@ def check_nice(
     assumed when no evidence is given, and failed otherwise.
     """
     n, m, k = stats.n, stats.m, stats.k
+    _require_log_n(n)
     log_n = math.log(n)
     p1 = SizeCheck(
         holds=(params.p <= 1e-3) and (k >= 3) and (n >= params.n0),
@@ -155,6 +161,9 @@ def main_bound(stats: HypergraphStats, params: NicenessParams) -> MainBound:
     n, m, k = stats.n, stats.m, stats.k
     p, lam, cap, b, b_k = params.p, params.lam, params.gamma_cap, params.b, params.b_k
     delta_max = stats.max_degree
+    _require_log_n(n)
+    if delta_max == 0:
+        raise InfeasibleError("the main bound's third gamma1 term divides by max degree 0")
     log_n = math.log(n)
     g1 = (
         math.exp(-b * lam**2),

@@ -62,6 +62,15 @@ def _record(cmd: str, params: dict, result) -> dict:
     return {"cmd": cmd, "params": params, "result": result, "versions": _versions()}
 
 
+def _result(report, drop=(), **extra) -> dict:
+    """A record's ``result``: the dataclass ``report``'s fields less ``drop``, plus ``extra``."""
+    out = asdict(report)
+    for key in drop:
+        del out[key]
+    out.update(extra)
+    return out
+
+
 def _load_config(path) -> dict:
     config = {}
     if path is None:
@@ -78,23 +87,32 @@ def _load_config(path) -> dict:
     return config
 
 
-def _fill(args, config, key, cast):
-    if getattr(args, key, None) is None and key in config:
-        setattr(args, key, cast(config[key]))
+# The flags a --config file may supply: their type and the default used when
+# neither the command line nor the file gives a value.
+CONFIG_KEYS = {
+    "seed": (str, None),
+    "trials": (int, 1000),
+    "workers": (int, 1),
+    "budget": (int, None),
+}
 
 
-def _resolve_seed(args, config) -> tuple[int, bool]:
-    seed = getattr(args, "seed", None)
-    if seed is None and "seed" in config:
-        seed = config["seed"]
-    if seed is None:
+def _apply_config(args, config: dict) -> None:
+    """Set every config-suppliable flag left unset: from the file, else its default."""
+    for key, (cast, default) in CONFIG_KEYS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, cast(config[key]) if key in config else default)
+
+
+def _resolve_seed(args) -> tuple[int, bool]:
+    if args.seed is None:
         raise UsageError("stochastic command requires --seed (use '--seed auto' to draw one)")
-    if seed == "auto":
+    if args.seed == "auto":
         return secrets.randbits(63), True
     try:
-        return int(seed), False
+        return int(args.seed), False
     except ValueError as exc:
-        raise UsageError(f"--seed must be an integer or 'auto', got {seed!r}") from exc
+        raise UsageError(f"--seed must be an integer or 'auto', got {args.seed!r}") from exc
 
 
 def _floats(text: str) -> list[float]:
@@ -125,54 +143,27 @@ def _trial_config(args, seed) -> montecarlo.TrialConfig:
     )
 
 
-def _tail_dict(est: montecarlo.TailEstimate) -> dict:
-    return {
-        "threshold": est.threshold,
-        "exceed_count": est.exceed_count,
-        "trials": est.trials,
-        "point_estimate": est.point_estimate,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "significance": est.significance,
-    }
+def _niceness_params(args) -> bounds.NicenessParams:
+    return bounds.NicenessParams(
+        p=args.p,
+        lam=args.lam,
+        gamma_cap=args.gamma,
+        b=args.b,
+        b_k=args.bk,
+        n0=args.n0,
+    )
 
 
-def _nice_dict(report: bounds.NicenessReport) -> dict:
-    out = {
-        "p1": {
-            "holds": report.p1.holds,
-            "p": report.p1.p,
-            "p_max": report.p1.p_max,
-            "k": report.p1.k,
-            "k_min": report.p1.k_min,
-            "n": report.p1.n,
-            "n0": report.p1.n0,
-        },
-        "p2": {"holds": report.p2.holds, "lhs": report.p2.lhs, "rhs": report.p2.rhs},
-        "p3": {"holds": report.p3.holds, "lhs": report.p3.lhs, "rhs": report.p3.rhs},
-        "p4": {"status": report.p4_status},
-        "analytic_ok": report.analytic_ok,
-    }
-    if report.p4_evidence is not None:
-        ev = report.p4_evidence
-        out["p4"]["threshold"] = ev.threshold
-        out["p4"]["supported"] = ev.supported
-        out["p4"]["grid"] = [
-            {
-                "q": pt.q,
-                "trials": pt.trials,
-                "violations": pt.violations,
-                "ci_high": pt.ci_high,
-                "trigger": pt.trigger,
-                "supported": pt.supported,
-            }
-            for pt in ev.points
-        ]
-    return out
+# Record params key -> attribute holding the niceness flag's value.
+_NICENESS_KEYS = {"p": "p", "lambda": "lam", "gamma": "gamma", "b": "b", "bk": "bk", "n0": "n0"}
 
 
-def _cmd_gen(args, config, stdout):
-    _fill(args, config, "budget", int)
+def _niceness_echo(args, keys=tuple(_NICENESS_KEYS)) -> dict:
+    """The niceness flags named by ``keys``, as a record's params."""
+    return {key: getattr(args, _NICENESS_KEYS[key]) for key in keys}
+
+
+def _cmd_gen(args):
     budget = args.budget or generators.DEFAULT_ENUMERATION_BUDGET
     params = {"family": args.family, "budget": budget}
     if args.family in ("complete", "complete-bipartite"):
@@ -189,60 +180,36 @@ def _cmd_gen(args, config, stdout):
     elif args.family == "random":
         if args.n is None or args.m is None or args.k is None:
             raise UsageError("--family random requires --n, --m and --k")
-        seed, auto = _resolve_seed(args, config)
+        seed, auto = _resolve_seed(args)
         H = generators.random_uniform(args.n, args.m, args.k, seed=seed, budget=min(budget, 10**6))
         params.update(n=args.n, m=args.m, k=args.k, seed=seed, seed_auto=auto)
     else:
         raise UsageError(f"unknown family {args.family!r}")
     if args.out:
         hgr.write_hgr(H, args.out)
-        result = {"path": args.out, "k": H.k, "n": H.n, "m": H.m}
-        return [_record("gen", params, result)], None
-    return [], hgr.dumps(H)
+        return _record("gen", params, {"path": args.out, "k": H.k, "n": H.n, "m": H.m})
+    return hgr.dumps(H)
 
 
-def _cmd_stats(args, config, stdout):
+def _cmd_stats(args):
     H = hgr.read_hgr(args.infile)
     profile = degree_profile(H)
-    result = {
-        "n": H.n,
-        "m": H.m,
-        "k": H.k,
-        "max_degree": profile.max_degree,
-        "min_degree": profile.min_degree,
-        "max_codegree": profile.max_codegree,
-        "degree_sum": int(profile.deg.sum()),
-    }
-    return [_record("stats", {"in": args.infile}, result)], None
+    result = _result(stats_of(H, profile), degree_sum=int(profile.deg.sum()))
+    return _record("stats", {"in": args.infile}, result)
 
 
-def _niceness_params(args) -> bounds.NicenessParams:
-    return bounds.NicenessParams(
-        p=args.p,
-        lam=args.lam,
-        gamma_cap=args.gamma,
-        b=args.b,
-        b_k=args.bk,
-        n0=args.n0,
-    )
+# The grid point fields a nice record keeps; simulate --task p4 keeps them all.
+_NICE_GRID_KEYS = ("q", "trials", "violations", "ci_high", "trigger", "supported")
 
 
-def _cmd_nice(args, config, stdout):
+def _cmd_nice(args):
     H = hgr.read_hgr(args.infile)
     stats = stats_of(H)
     params = _niceness_params(args)
     evidence = None
-    record_params = {
-        "in": args.infile,
-        "p": args.p,
-        "lambda": args.lam,
-        "gamma": args.gamma,
-        "b": args.b,
-        "bk": args.bk,
-        "n0": args.n0,
-    }
+    record_params = {"in": args.infile, **_niceness_echo(args)}
     if args.p4_grid:
-        seed, auto = _resolve_seed(args, config)
+        seed, auto = _resolve_seed(args)
         cfg = _trial_config(args, seed)
         grid = _floats(args.p4_grid)
         evidence = montecarlo.verify_p4(H, params, grid, cfg)
@@ -250,55 +217,34 @@ def _cmd_nice(args, config, stdout):
             p4_grid=grid, seed=seed, seed_auto=auto, trials=args.trials, workers=args.workers
         )
     report = bounds.check_nice(stats, params, p4_evidence=evidence)
-    return [_record("nice", record_params, _nice_dict(report))], None
+    p4 = {"status": report.p4_status}
+    if evidence is not None:
+        p4.update(
+            threshold=evidence.threshold,
+            supported=evidence.supported,
+            grid=[{key: getattr(pt, key) for key in _NICE_GRID_KEYS} for pt in evidence.points],
+        )
+    result = _result(
+        report, drop=("p4_status", "p4_evidence", "params"), p4=p4, analytic_ok=report.analytic_ok
+    )
+    return _record("nice", record_params, result)
 
 
-def _cmd_bound(args, config, stdout):
+def _cmd_bound(args):
     H = hgr.read_hgr(args.infile)
-    stats = stats_of(H)
-    params = _niceness_params(args)
-    mb = bounds.main_bound(stats, params)
-    result = {
-        "gamma1": mb.gamma1,
-        "gamma2": mb.gamma2,
-        "gamma1_terms": list(mb.gamma1_terms),
-        "gamma2_terms": list(mb.gamma2_terms),
-        "window": mb.window,
-        "prob_bound_raw": mb.prob_bound_raw,
-        "prob_bound": mb.prob_bound,
-        "vacuous": mb.vacuous,
-    }
-    record_params = {
-        "in": args.infile,
-        "p": args.p,
-        "lambda": args.lam,
-        "gamma": args.gamma,
-        "b": args.b,
-        "bk": args.bk,
-        "n0": args.n0,
-    }
-    return [_record("bound", record_params, result)], None
+    mb = bounds.main_bound(stats_of(H), _niceness_params(args))
+    record_params = {"in": args.infile, **_niceness_echo(args)}
+    return _record("bound", record_params, _result(mb, drop=("params",)))
 
 
-def _cmd_regime(args, config, stdout):
+def _cmd_regime(args):
     spec = _graph_spec(args)
     reg = bounds.regime(spec, args.N, args.c1)
-    result = {
-        "pattern": spec.label,
-        "rho1": reg.rho1,
-        "rho2": reg.rho2,
-        "c1": reg.c1,
-        "c2": reg.c2,
-        "p_range": list(reg.p_range),
-        "p_range_empty": reg.p_range_empty,
-        "lambda_range": list(reg.lambda_range),
-    }
     params = {"family": args.family, "N": args.N, "c1": args.c1, "pattern": spec.label}
-    return [_record("regime", params, result)], None
+    return _record("regime", params, _result(reg, pattern=spec.label))
 
 
-def _cmd_oracle(args, config, stdout):
-    _fill(args, config, "budget", int)
+def _cmd_oracle(args):
     H = hgr.read_hgr(args.infile)
     pair_budget = args.budget or oracle.DEFAULT_PAIR_BUDGET
     result = {
@@ -312,14 +258,14 @@ def _cmd_oracle(args, config, stdout):
         result["distribution_mean"] = dist.mean()
         result["distribution_variance"] = dist.variance()
     params = {"in": args.infile, "p": args.p, "dist": bool(args.dist)}
-    return [_record("oracle", params, result)], None
+    return _record("oracle", params, result)
 
 
-def _cmd_mcdiarmid(args, config, stdout):
+def _cmd_mcdiarmid(args):
     coeffs = _floats(args.lipschitz)
     value = bounds.mcdiarmid(args.t, coeffs)
     params = {"t": args.t, "lipschitz": coeffs}
-    return [_record("mcdiarmid", params, {"bound": value})], None
+    return _record("mcdiarmid", params, {"bound": value})
 
 
 def _schedule_from_args(args, n: int) -> percolation.ExposureSchedule:
@@ -331,11 +277,13 @@ def _schedule_from_args(args, n: int) -> percolation.ExposureSchedule:
     )
 
 
-def _cmd_expose(args, config, stdout):
+def _cmd_expose(args):
     H = hgr.read_hgr(args.infile)
     profile = degree_profile(H)
     schedule = _schedule_from_args(args, H.n)
-    seed, auto = _resolve_seed(args, config)
+    seed, auto = _resolve_seed(args)
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     rounds = schedule.rounds
     sums_x = np.zeros(rounds + 1)
     sums_x2 = np.zeros(rounds + 1)
@@ -381,14 +329,14 @@ def _cmd_expose(args, config, stdout):
         "seed": seed,
         "seed_auto": auto,
     }
-    return [_record("expose", params, {"per_round": per_round})], None
+    return _record("expose", params, {"per_round": per_round})
 
 
-def _cmd_simulate(args, config, stdout):
+def _cmd_simulate(args):
     H = hgr.read_hgr(args.infile)
-    seed, auto = _resolve_seed(args, config)
+    seed, auto = _resolve_seed(args)
     cfg = _trial_config(args, seed)
-    base_params = {
+    params = {
         "in": args.infile,
         "task": args.task,
         "p": args.p,
@@ -403,61 +351,30 @@ def _cmd_simulate(args, config, stdout):
             raise UsageError("--task tail requires --thresholds")
         thresholds = _floats(args.thresholds)
         estimates = montecarlo.estimate_tail(H, args.p, thresholds, cfg)
-        result = {"center": oracle.exact_expectation(H, args.p)}
-        result["estimates"] = [_tail_dict(est) for est in estimates]
-        base_params["thresholds"] = thresholds
-        return [_record("simulate", base_params, result)], None
-    if args.task == "p4":
-        params = _niceness_params(args)
+        result = {
+            "center": oracle.exact_expectation(H, args.p),
+            "estimates": [asdict(est) for est in estimates],
+        }
+        params["thresholds"] = thresholds
+    elif args.task == "p4":
+        nice = _niceness_params(args)
         grid = _floats(args.p4_grid) if args.p4_grid else list(
             montecarlo.geometric_q_grid(args.p)
         )
-        evidence = montecarlo.verify_p4(H, params, grid, cfg)
-        base_params.update(
-            p4_grid=grid, **{"lambda": args.lam, "gamma": args.gamma, "b": args.b, "bk": args.bk}
-        )
-        result = {
-            "threshold": evidence.threshold,
-            "supported": evidence.supported,
-            "grid": [
-                {
-                    "q": pt.q,
-                    "trials": pt.trials,
-                    "deg_cap": pt.deg_cap,
-                    "trigger": pt.trigger,
-                    "deg_violations": pt.deg_violations,
-                    "codeg_violations": pt.codeg_violations,
-                    "violations": pt.violations,
-                    "point_estimate": pt.point_estimate,
-                    "ci_low": pt.ci_low,
-                    "ci_high": pt.ci_high,
-                    "max_deg_seen": pt.max_deg_seen,
-                    "max_codeg_seen": pt.max_codeg_seen,
-                    "supported": pt.supported,
-                }
-                for pt in evidence.points
-            ],
-        }
-        return [_record("simulate", base_params, result)], None
-    if args.task == "subgaussian":
+        evidence = montecarlo.verify_p4(H, nice, grid, cfg)
+        params.update(p4_grid=grid, **_niceness_echo(args, ("lambda", "gamma", "b", "bk")))
+        result = _result(evidence, drop=("q_grid", "params"))
+        result["grid"] = result.pop("points")
+    elif args.task == "subgaussian":
         if not args.lambdas:
             raise UsageError("--task subgaussian requires --lambdas")
         lambdas = _floats(args.lambdas)
         fit = montecarlo.fit_subgaussian(
             H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
         )
-        base_params.update(lambdas=lambdas, variance_source=args.variance_source)
-        result = {
-            "variance": fit.variance,
-            "variance_assumed": fit.variance_assumed,
-            "c_g": fit.c_g,
-            "c_g_candidates": list(fit.c_g_candidates),
-            "c_g_lower_bounds": list(fit.c_g_lower_bounds),
-            "feasible": fit.feasible,
-            "estimates": [_tail_dict(est) for est in fit.estimates],
-        }
-        return [_record("simulate", base_params, result)], None
-    if args.task == "deg-moment":
+        params.update(lambdas=lambdas, variance_source=args.variance_source)
+        result = _result(fit, drop=("lambdas", "variance_source"))
+    elif args.task == "deg-moment":
         schedule = _schedule_from_args(args, H.n)
         if not 0 <= args.round <= schedule.rounds:
             raise UsageError(f"--round must lie in [0, {schedule.rounds}]")
@@ -468,26 +385,21 @@ def _cmd_simulate(args, config, stdout):
         report = montecarlo.check_degree_moment(
             H, state, schedule, cfg, vertices=args.vertices, continuations=args.continuations
         )
-        base_params.update(round=args.round, continuations=args.continuations)
-        result = {
-            "epsilon": report.epsilon,
-            "eta": report.eta,
-            "holds": report.holds,
-            "entries": [asdict(e) for e in report.entries],
-        }
-        return [_record("simulate", base_params, result)], None
-    if args.task == "deg-square-sum":
+        params.update(round=args.round, continuations=args.continuations)
+        result = _result(report, drop=("continuations",), holds=report.holds)
+    elif args.task == "deg-square-sum":
         schedule = _schedule_from_args(args, H.n)
         report = montecarlo.check_degree_square_sum(H, schedule, args.lam, args.gamma, cfg)
-        base_params.update(**{"lambda": args.lam, "gamma": args.gamma})
-        result = {"holds": report.holds, "entries": [asdict(e) for e in report.entries]}
-        return [_record("simulate", base_params, result)], None
-    raise UsageError(f"unknown simulate task {args.task!r}")
+        params.update(_niceness_echo(args, ("lambda", "gamma")))
+        result = _result(report, drop=("trials",), holds=report.holds)
+    else:
+        raise UsageError(f"unknown simulate task {args.task!r}")
+    return _record("simulate", params, result)
 
 
-def _cmd_ext(args, config, stdout):
+def _cmd_ext(args):
     spec = _graph_spec(args)
-    base_params = {"family": args.family, "pattern": spec.label, "task": args.task}
+    params = {"family": args.family, "pattern": spec.label, "task": args.task}
     if args.task == "balanced":
         rg = extensions.build_rooted(spec, args.roots)
         result = {
@@ -497,195 +409,164 @@ def _cmd_ext(args, config, stdout):
             "density": rg.density,
             "balanced": extensions.is_balanced(rg),
         }
-        base_params["roots"] = args.roots
-        return [_record("ext", base_params, result)], None
+        params["roots"] = args.roots
+        return _record("ext", params, result)
     if args.task == "expected":
         if args.N is None or args.q is None:
             raise UsageError("--task expected requires --N and --q")
         value = extensions.expected_extensions(spec, args.roots, args.N, args.q)
-        base_params.update(roots=args.roots, N=args.N, q=args.q)
-        return [_record("ext", base_params, {"expected_extensions": value})], None
+        params.update(roots=args.roots, N=args.N, q=args.q)
+        return _record("ext", params, {"expected_extensions": value})
     if args.N is None or args.q is None:
         raise UsageError(f"--task {args.task} requires --N and --q")
-    seed, auto = _resolve_seed(args, config)
+    seed, auto = _resolve_seed(args)
     cfg = _trial_config(args, seed)
-    base_params.update(
+    params.update(
         N=args.N, q=args.q, trials=args.trials, seed=seed, seed_auto=auto, workers=args.workers
     )
     if args.task == "zcheck":
         report = extensions.z_identity_check(
             spec, args.N, args.q, cfg, conditioned_target=args.conditioned
         )
-        result = asdict(report)
-        return [_record("ext", base_params, result)], None
-    if args.task == "caps":
+    elif args.task == "caps":
         if args.p is None:
             raise UsageError("--task caps requires --p")
-        params = _niceness_params(args)
-        report = extensions.extension_cap_check(spec, args.N, args.p, args.q, params, cfg)
-        base_params.update(p=args.p, **{"lambda": args.lam, "gamma": args.gamma, "b": args.b})
-        result = asdict(report)
-        result["z1_ci"] = list(report.z1_ci)
-        result["z2_ci"] = list(report.z2_ci) if report.z2_ci else None
-        return [_record("ext", base_params, result)], None
-    raise UsageError(f"unknown ext task {args.task!r}")
+        nice = _niceness_params(args)
+        report = extensions.extension_cap_check(spec, args.N, args.p, args.q, nice, cfg)
+        params.update(_niceness_echo(args, ("p", "lambda", "gamma", "b")))
+    else:
+        raise UsageError(f"unknown ext task {args.task!r}")
+    return _record("ext", params, asdict(report))
 
 
-def _add_pattern_flags(parser):
-    parser.add_argument("--family", required=True)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--a", type=int)
-    parser.add_argument("--b-side", dest="b", type=int)
-    parser.add_argument("--N", type=int)
+# Every flag once, with its argparse options.  A subcommand takes the flags
+# COMMANDS lists for it; the ones it lists as required must be given.
+FLAGS = {
+    # every command; _apply_config sets --budget, --seed, --trials and
+    # --workers when they are not given
+    "--out": {},
+    "--config": {},
+    "--budget": {"type": int},
+    # stochastic
+    "--seed": {},
+    "--trials": {"type": int},
+    "--workers": {"type": int},
+    "--significance": {"type": float, "default": 0.01},
+    # input
+    "--in": {"dest": "infile", "required": True},
+    # pattern; --b-side shares its dest with --b, so in ext the default of
+    # --b-side (declared first) is the one argparse keeps
+    "--family": {"required": True},
+    "--r": {"type": int},
+    "--a": {"type": int},
+    "--b-side": {"dest": "b", "type": int},
+    "--N": {"type": int},
+    # niceness
+    "--p": {"type": float},
+    "--lambda": {"dest": "lam", "type": float, "default": 1.0},
+    "--gamma": {"type": float, "default": 1.0},
+    "--b": {"type": float, "default": 1.0},
+    "--bk": {"type": float, "default": bounds.DEFAULT_B_K},
+    "--n0": {"type": int, "default": bounds.DEFAULT_N0},
+    # exposure schedule
+    "--eps-range": {},
+    "--strict": {"dest": "strict_mode", "action": "store_true"},
+    "--force-rounds": {"type": int},
+    # the rest; ext requires --task, simulate defaults it
+    "--n": {"type": int},
+    "--m": {"type": int},
+    "--k": {"type": int},
+    "--c1": {"type": float, "required": True},
+    "--dist": {"action": "store_true"},
+    "--task": {"default": "tail"},
+    "--thresholds": {},
+    "--lambdas": {},
+    "--variance-source": {"default": "exact"},
+    "--p4-grid": {},
+    "--round": {"type": int, "default": 0},
+    "--vertices": {"type": int, "default": 20},
+    "--continuations": {"type": int, "default": 10_000},
+    "--roots": {"type": int, "default": 2},
+    "--q": {"type": float},
+    "--conditioned": {"type": int},
+    "--t": {"type": float, "required": True},
+    "--lipschitz": {"required": True},
+}
 
+COMMON = ("--out", "--config", "--budget")
+STOCHASTIC = ("--seed", "--trials", "--workers", "--significance")
+PATTERN = ("--family", "--r", "--a", "--b-side", "--N")
+NICENESS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
+SCHEDULE = ("--eps-range", "--strict", "--force-rounds")
 
-def _add_niceness_flags(parser):
-    parser.add_argument("--p", type=float, required=True)
-    parser.add_argument("--lambda", dest="lam", type=float, required=True)
-    parser.add_argument("--gamma", type=float, required=True)
-    parser.add_argument("--b", type=float, required=True)
-    parser.add_argument("--bk", type=float, default=bounds.DEFAULT_B_K)
-    parser.add_argument("--n0", type=int, default=bounds.DEFAULT_N0)
+# subcommand: (handler, flags besides COMMON, flags it requires)
+COMMANDS = {
+    "gen": (_cmd_gen, STOCHASTIC + PATTERN + ("--n", "--m", "--k"), ()),
+    "stats": (_cmd_stats, ("--in",), ()),
+    "nice": (
+        _cmd_nice,
+        STOCHASTIC + ("--in",) + NICENESS + ("--p4-grid",),
+        ("--p", "--lambda", "--gamma", "--b"),
+    ),
+    "bound": (_cmd_bound, ("--in",) + NICENESS, ("--p", "--lambda", "--gamma", "--b")),
+    "regime": (_cmd_regime, PATTERN + ("--c1",), ()),
+    "oracle": (_cmd_oracle, ("--in", "--p", "--dist"), ("--p",)),
+    "simulate": (
+        _cmd_simulate,
+        STOCHASTIC
+        + ("--in", "--task", "--thresholds", "--lambdas", "--variance-source", "--p4-grid")
+        + NICENESS
+        + SCHEDULE
+        + ("--round", "--vertices", "--continuations"),
+        ("--p",),
+    ),
+    "expose": (
+        _cmd_expose, STOCHASTIC + ("--in", "--p") + SCHEDULE + ("--lambda", "--gamma"), ("--p",)
+    ),
+    "ext": (
+        _cmd_ext,
+        STOCHASTIC + PATTERN + ("--task", "--roots", "--q") + NICENESS + ("--conditioned",),
+        ("--task",),
+    ),
+    "mcdiarmid": (_cmd_mcdiarmid, ("--t", "--lipschitz"), ()),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hypertail")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out")
-    common.add_argument("--config")
-    common.add_argument("--budget", type=int)
-
-    stoch = argparse.ArgumentParser(add_help=False)
-    stoch.add_argument("--seed")
-    stoch.add_argument("--trials", type=int, default=1000)
-    stoch.add_argument("--workers", type=int, default=1)
-    stoch.add_argument("--significance", type=float, default=0.01)
-
-    p = sub.add_parser("gen", parents=[common, stoch])
-    p.add_argument("--family", required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b-side", dest="b", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("stats", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(handler=_cmd_stats)
-
-    p = sub.add_parser("nice", parents=[common, stoch])
-    p.add_argument("--in", dest="infile", required=True)
-    _add_niceness_flags(p)
-    p.add_argument("--p4-grid")
-    p.set_defaults(handler=_cmd_nice)
-
-    p = sub.add_parser("bound", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    _add_niceness_flags(p)
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser("regime", parents=[common])
-    _add_pattern_flags(p)
-    p.add_argument("--c1", type=float, required=True)
-    p.set_defaults(handler=_cmd_regime)
-
-    p = sub.add_parser("oracle", parents=[common])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--dist", action="store_true")
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("simulate", parents=[common, stoch])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--task", default="tail")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--thresholds")
-    p.add_argument("--lambdas")
-    p.add_argument("--variance-source", default="exact")
-    p.add_argument("--p4-grid")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--bk", type=float, default=bounds.DEFAULT_B_K)
-    p.add_argument("--n0", type=int, default=bounds.DEFAULT_N0)
-    p.add_argument("--eps-range")
-    p.add_argument("--strict", dest="strict_mode", action="store_true")
-    p.add_argument("--force-rounds", type=int)
-    p.add_argument("--round", type=int, default=0)
-    p.add_argument("--vertices", type=int, default=20)
-    p.add_argument("--continuations", type=int, default=10_000)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("expose", parents=[common, stoch])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eps-range")
-    p.add_argument("--strict", dest="strict_mode", action="store_true")
-    p.add_argument("--force-rounds", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_expose)
-
-    p = sub.add_parser("ext", parents=[common, stoch])
-    _add_pattern_flags(p)
-    p.add_argument("--task", required=True)
-    p.add_argument("--roots", type=int, default=2)
-    p.add_argument("--q", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--bk", type=float, default=bounds.DEFAULT_B_K)
-    p.add_argument("--n0", type=int, default=bounds.DEFAULT_N0)
-    p.add_argument("--conditioned", type=int)
-    p.set_defaults(handler=_cmd_ext)
-
-    p = sub.add_parser("mcdiarmid", parents=[common])
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--lipschitz", required=True)
-    p.set_defaults(handler=_cmd_mcdiarmid)
-
+    for name, (handler, flags, required) in COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in COMMON + flags:
+            options = dict(FLAGS[flag], required=True) if flag in required else FLAGS[flag]
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def dispatch(argv=None, stdout=None, stderr=None) -> int:
-    """Parse argv, run the subcommand, emit records; returns the exit code."""
+    """Parse argv, run the subcommand, emit its record; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(getattr(args, "config", None))
-        for key, cast in (("trials", int), ("workers", int), ("budget", int)):
-            if hasattr(args, key):
-                _fill(args, config, key, cast)
-        records, raw = args.handler(args, config, stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        _apply_config(args, _load_config(args.config))
+        output = args.handler(args)
+        if isinstance(output, dict):
+            output = _dump(output) + "\n"
+            if args.out and args.command != "gen":
+                with open(args.out, "w", newline="\n") as fh:
+                    fh.write(output)
+                output = ""
+        stdout.write(output)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
     except (BudgetError, InfeasibleError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
-    lines = [_dump(record) for record in records]
-    out_path = getattr(args, "out", None)
-    if raw is not None:
-        stdout.write(raw)
-    if lines:
-        if out_path and args.command != "gen":
-            with open(out_path, "w", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-        else:
-            for line in lines:
-                stdout.write(line + "\n")
     elapsed = time.perf_counter() - started
     print(f"# {args.command} finished in {elapsed:.3f}s", file=stderr)
     return 0

@@ -215,8 +215,8 @@ def estimate_tail(
 ) -> list[TailEstimate]:
     """Estimate P(|X - p^k m| >= t) for each threshold t, with exact CIs."""
     thresholds = [float(t) for t in thresholds]
-    if any(t <= 0 for t in thresholds):
-        raise ValueError("thresholds must be positive")
+    if not all(0 < t < math.inf for t in thresholds):
+        raise ValueError("thresholds must be finite and positive")
     if samples is None:
         samples = edge_count_samples(H, p, cfg, lane=lane)
     trials = len(samples)

@@ -172,6 +172,8 @@ def build_schedule(
         raise ValueError(f"invalid retention range {eps_range}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"target probability must lie in (0, 1), got {p}")
+    if n < 2:
+        raise InfeasibleError(f"the exposure chain divides by ln n, not positive at n = {n}")
     if p > eps_max * (1.0 + _REL_TOL):
         raise InfeasibleError(f"p={p} exceeds the maximum per-round retention {eps_max}")
     if force_rounds is not None:
@@ -266,6 +268,8 @@ def check_preconditions(
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
     delta_max = profile.max_degree
+    if m == 0:
+        raise InfeasibleError("the round conditions divide by p^k m, which is 0 without edges")
     log_n = math.log(n)
 
     center = eps ** (k * i) * m

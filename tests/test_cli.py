@@ -284,6 +284,34 @@ def test_exit_codes():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["expose", "--in", "d.hgr", "--p", "0.125", "--eps-range", "0.1,0.5", "--trials", "0"],
+    ["simulate", "--in", "d.hgr", "--p", "0.3", "--thresholds", "nan"],
+    ["simulate", "--in", "d.hgr", "--p", "0.3", "--thresholds", "1,inf"],
+], ids=["expose-zero-trials", "threshold-nan", "threshold-inf"])
+def test_inputs_that_would_emit_non_finite_values_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    code, out, err = run(argv + ["--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, argv", [
+    ("1 1 1\n0\n", ["nice", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
+    ("1 1 1\n0\n", ["bound", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
+    ("1 1 1\n0\n", ["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--seed", "1"]),
+    ("3 5 0\n", ["bound", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
+    ("3 5 0\n", ["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--seed", "1"]),
+], ids=["nice-n1", "bound-n1", "expose-n1", "bound-m0", "expose-m0"])
+def test_degenerate_instances_are_infeasible(tmp_path, text, argv):
+    path = tmp_path / "h.hgr"
+    path.write_text(text)
+    code, out, err = run(argv + ["--in", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_hgr_is_usage_error(tmp_path):
     bad = tmp_path / "bad.hgr"
     bad.write_text("3 4\n")
@@ -296,12 +324,15 @@ def test_config_file_supplies_defaults(tmp_path):
     path = tmp_path / "d.hgr"
     run(["gen", "--family", "disjoint", "--m", "10", "--k", "3", "--out", str(path)])
     cfg = tmp_path / "cfg"
-    cfg.write_text("seed=77\ntrials=120\n")
+    cfg.write_text("seed=77\ntrials=120\nworkers=2\n")
     code, out, _ = run(["simulate", "--in", str(path), "--p", "0.3", "--task", "tail",
-                        "--thresholds", "1", "--config", str(cfg)])
+                        "--thresholds", "1,2", "--config", str(cfg)])
     assert code == 0
     record = json.loads(out)
     assert record["params"]["seed"] == 77
+    assert record["params"]["trials"] == 120
+    assert record["params"]["workers"] == 2
+    assert [e["trials"] for e in record["result"]["estimates"]] == [120, 120]
 
 
 def test_flags_override_config(tmp_path):

@@ -1,0 +1,147 @@
+"""Byte-level pins of the record every subcommand and task emits.
+
+Each case runs one argv on a tiny instance and compares a SHA-256 of the
+record's ``cmd``, ``params`` and ``result`` (floats kept as the emitted
+17-digit text; ``versions`` left out) with a digest captured from a known-good
+build.  ``gen`` without ``--out`` prints HGR text, which is digested as is.
+Paths in the records are relative: every case runs inside one directory.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from hypertail import complete, disjoint_edges, subgraph_hypergraph
+from hypertail.cli import dispatch
+from hypertail.hgr import write_hgr
+
+NICE = ["--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1", "--bk", "0.01", "--n0", "10"]
+SCHEDULE = ["--eps-range", "0.1,0.5", "--force-rounds", "3"]
+
+CASES = {
+    "gen-complete-out": ["gen", "--family", "complete", "--r", "3", "--N", "5", "--out", "g.hgr"],
+    "gen-complete-stdout": ["gen", "--family", "complete", "--r", "3", "--N", "5"],
+    "gen-bipartite-out": ["gen", "--family", "complete-bipartite", "--a", "1", "--b-side", "2",
+                          "--N", "5", "--out", "g.hgr"],
+    "gen-bipartite-stdout": ["gen", "--family", "complete-bipartite", "--a", "1", "--b-side", "2",
+                             "--N", "5"],
+    "gen-disjoint-out": ["gen", "--family", "disjoint", "--m", "4", "--k", "3", "--out", "g.hgr"],
+    "gen-disjoint-stdout": ["gen", "--family", "disjoint", "--m", "4", "--k", "3"],
+    "gen-random-out": ["gen", "--family", "random", "--n", "9", "--m", "6", "--k", "3",
+                       "--seed", "4", "--out", "g.hgr"],
+    "gen-random-stdout": ["gen", "--family", "random", "--n", "9", "--m", "6", "--k", "3",
+                          "--seed", "4"],
+    "stats": ["stats", "--in", "k3.hgr"],
+    "nice": ["nice", "--in", "k3.hgr", *NICE],
+    "nice-p4-grid": ["nice", "--in", "k3.hgr", *NICE, "--p4-grid", "0.2,0.3",
+                     "--trials", "60", "--seed", "5"],
+    "bound": ["bound", "--in", "k3.hgr", *NICE],
+    "regime-complete": ["regime", "--family", "complete", "--r", "3", "--N", "50", "--c1", "0.05"],
+    "regime-bipartite": ["regime", "--family", "complete-bipartite", "--a", "2", "--b-side", "2",
+                         "--N", "50", "--c1", "0.05"],
+    "oracle": ["oracle", "--in", "k3.hgr", "--p", "0.3"],
+    "oracle-dist": ["oracle", "--in", "k3.hgr", "--p", "0.3", "--dist"],
+    "mcdiarmid": ["mcdiarmid", "--t", "2", "--lipschitz", "1,0.5,0.25"],
+    "simulate-tail": ["simulate", "--in", "disj.hgr", "--p", "0.3", "--task", "tail",
+                      "--thresholds", "1,2", "--trials", "200", "--seed", "7"],
+    "simulate-p4": ["simulate", "--in", "k3.hgr", "--p", "0.1", "--task", "p4",
+                    "--p4-grid", "0.2,0.3", "--lambda", "2", "--gamma", "4", "--b", "1",
+                    "--trials", "100", "--seed", "8"],
+    "simulate-subgaussian-exact": ["simulate", "--in", "k3.hgr", "--p", "0.3",
+                                   "--task", "subgaussian", "--lambdas", "0.5,1",
+                                   "--variance-source", "exact", "--trials", "200",
+                                   "--seed", "9"],
+    "simulate-subgaussian-plugin": ["simulate", "--in", "k3.hgr", "--p", "0.3",
+                                    "--task", "subgaussian", "--lambdas", "0.5,1",
+                                    "--variance-source", "plugin", "--trials", "200",
+                                    "--seed", "9"],
+    "simulate-deg-moment": ["simulate", "--in", "k3.hgr", "--p", "0.125", "--task", "deg-moment",
+                            *SCHEDULE, "--round", "1", "--vertices", "3",
+                            "--continuations", "100", "--trials", "1", "--seed", "10"],
+    "simulate-deg-square-sum": ["simulate", "--in", "k3.hgr", "--p", "0.125",
+                                "--task", "deg-square-sum", *SCHEDULE, "--lambda", "2",
+                                "--gamma", "2", "--trials", "50", "--seed", "11"],
+    "expose": ["expose", "--in", "k3.hgr", "--p", "0.125", *SCHEDULE, "--lambda", "2",
+               "--gamma", "4", "--trials", "30", "--seed", "12"],
+    "ext-balanced": ["ext", "--task", "balanced", "--family", "complete", "--r", "4",
+                     "--roots", "2"],
+    "ext-expected": ["ext", "--task", "expected", "--family", "complete", "--r", "3",
+                     "--N", "8", "--q", "0.5"],
+    "ext-zcheck-complete": ["ext", "--task", "zcheck", "--family", "complete", "--r", "3",
+                            "--N", "6", "--q", "0.5", "--trials", "30", "--seed", "13"],
+    "ext-zcheck-bipartite": ["ext", "--task", "zcheck", "--family", "complete-bipartite",
+                             "--a", "2", "--b-side", "2", "--N", "6", "--q", "0.5",
+                             "--trials", "20", "--seed", "14"],
+    "ext-caps": ["ext", "--task", "caps", "--family", "complete", "--r", "3", "--N", "7",
+                 "--p", "0.2", "--q", "0.5", "--lambda", "2", "--gamma", "1000", "--b", "1",
+                 "--trials", "30", "--seed", "15"],
+}
+
+DIGESTS = {
+    "bound": "c9e6480b5808f0722e56efa29c71ad90dda80715d0d1282b6f2801ce2f35a08b",
+    "expose": "23068ceccf5ed01aaa5ecb62a9bec64563ec5d3702a07a207f03b4df47875d2c",
+    "ext-balanced": "69cd01a1b9369ee20e49e4f91b6350b7b75ea65ed6a91cb5251209ea01fb9870",
+    "ext-caps": "db5b2e6ef1b9ee65a83936250a31dddff1684b68195eae126c954c1e143e96ef",
+    "ext-expected": "15ac680bcf94a7b19fafde9ce0decc601886d7a5958429a05add7c6253ae179c",
+    "ext-zcheck-bipartite": "6fab2b11416ec03f0b491e7c0f1f6e82c432877ad2f459a118b90237facf9d6e",
+    "ext-zcheck-complete": "5ae60500bc8f083c834307578d0fa6a90d7d5b35f2ffc1bf7c7e0b3e8c5f0e4c",
+    "gen-bipartite-out": "6539eed148c5a9c22d96e2b72f5cac70e05a823671cc96db90fe0901fb78005f",
+    "gen-bipartite-stdout": "597d89486a17d4de5dee29d1b1bbf0ee7ab906b934f92f56f801df7845b1b511",
+    "gen-complete-out": "52a35a5702a7c427f80bf8d150da7908d11be2d065aa05e6b2516988d6db0bd6",
+    "gen-complete-stdout": "0c728ac3c863c355ce06da481ec85342208553224100e6ac54792e981f9b62e3",
+    "gen-disjoint-out": "03cc4277a92064ee25dfd9e3373c341e3bdb79eaaad1505f6c971ac37ed7aef0",
+    "gen-disjoint-stdout": "6c71cc2f5b6b3badb372af251ab8500198f9c0c92717589927e1a16565e8c343",
+    "gen-random-out": "275bdb4be33400330f30551c432831d3f9f8bedee3e7056d937fb3a0bcc1c9aa",
+    "gen-random-stdout": "2c2d3bfd8342057bf9cd7667ce1ac96397562c78bde6fd2d92a802605e7e3b00",
+    "mcdiarmid": "6fb68c9fc359d48e3eb4c15eaf5d23d8b0f96834f9a5815a1b046ae8c18f3f89",
+    "nice": "632837788fcfb66b395203c72dae4bfd32da3d272a19abd7cb74492e1586855a",
+    "nice-p4-grid": "82e68a4ca5f875bc1675456943103368671ae1ce715be19a63b49dc376330e60",
+    "oracle": "a2ea4465d0d8bfcb8ea1f81f53d62792249d9e711414b2ecf49bd71be7aaf790",
+    "oracle-dist": "574f242cfac414de9803677452f6abc00d57ef02859b35de612d2ab959e8488f",
+    "regime-bipartite": "ce813f2a0582350625a0df040f5c6bf4696747b972e900a74410f0f12892d909",
+    "regime-complete": "668253fb3b4c9b91d4e744882d5feb1dfb825084bf029419a279665d774667a1",
+    "simulate-deg-moment": "6c74ad3e5ae3f2da925c09839d3e92b2c6c38787d78ddf4dfbe6060280ad99fb",
+    "simulate-deg-square-sum": "680d9302a4530941809b56a490876a71073d8ae48dc7fb4cba662bf858118c1b",
+    "simulate-p4": "d787688cdd2bd98da78ec58f341dbff0fcdb036c6ab4e6ac6ecfbfa99f53e3ad",
+    "simulate-subgaussian-exact": "1a612ac92c5828ae77fc88262fb59a7a5218bd901d59552641df86da4684d653",
+    "simulate-subgaussian-plugin": "576fa8534acf1b7fe069008023e93ef016a174d741d020c81693f5f0aa2b7c76",
+    "simulate-tail": "13c32195e4d77faa6966d58b89b04491e5a2c694957bc6181112bc63139ca283",
+    "stats": "f9d106ac22dc0eff2efb38a59aa8411e86e998f10bd3d2a801456020e81cc4b9",
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("records")
+    write_hgr(subgraph_hypergraph(complete(3), 6), path / "k3.hgr")
+    write_hgr(disjoint_edges(6, 3), path / "disj.hgr")
+    return path
+
+
+def digest(out: str, raw: bool) -> str:
+    if raw:
+        body = out
+    else:
+        rec = json.loads(out, parse_float=str)
+        body = json.dumps({key: rec[key] for key in ("cmd", "params", "result")},
+                          sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def emit(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    assert dispatch(argv, stdout=out, stderr=err) == 0, err.getvalue()
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_record_bytes_are_pinned(case, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    argv = CASES[case]
+    out = emit(argv)
+    raw = argv[0] == "gen" and "--out" not in argv
+    if not raw:
+        assert out.count("\n") == 1
+    assert digest(out, raw) == DIGESTS[case]
