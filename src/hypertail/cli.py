@@ -252,7 +252,8 @@ def _cmd_oracle(args):
         "variance": oracle.exact_variance(H, args.p, pair_budget=pair_budget),
     }
     if args.dist:
-        limit = args.budget or oracle.DEFAULT_ENUMERATION_LIMIT
+        # --budget B allows 2^n <= B subsets
+        limit = args.budget.bit_length() - 1 if args.budget else oracle.DEFAULT_ENUMERATION_LIMIT
         dist = oracle.exact_distribution(H, args.p, limit=limit)
         result["distribution"] = [[x, dist.probabilities[x]] for x in sorted(dist.probabilities)]
         result["distribution_mean"] = dist.mean()
@@ -442,10 +443,11 @@ def _cmd_ext(args):
 # Every flag once, with its argparse options.  A subcommand takes the flags
 # COMMANDS lists for it; the ones it lists as required must be given.
 FLAGS = {
-    # every command; _apply_config sets --budget, --seed, --trials and
-    # --workers when they are not given
+    # every command
     "--out": {},
     "--config": {},
+    # _apply_config sets --budget, --seed, --trials and --workers when they
+    # are not given; gen, oracle and simulate take --budget
     "--budget": {"type": int},
     # stochastic
     "--seed": {},
@@ -493,7 +495,7 @@ FLAGS = {
     "--lipschitz": {"required": True},
 }
 
-COMMON = ("--out", "--config", "--budget")
+COMMON = ("--out", "--config")
 STOCHASTIC = ("--seed", "--trials", "--workers", "--significance")
 PATTERN = ("--family", "--r", "--a", "--b-side", "--N")
 NICENESS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
@@ -501,7 +503,7 @@ SCHEDULE = ("--eps-range", "--strict", "--force-rounds")
 
 # subcommand: (handler, flags besides COMMON, flags it requires)
 COMMANDS = {
-    "gen": (_cmd_gen, STOCHASTIC + PATTERN + ("--n", "--m", "--k"), ()),
+    "gen": (_cmd_gen, ("--budget", "--seed") + PATTERN + ("--n", "--m", "--k"), ()),
     "stats": (_cmd_stats, ("--in",), ()),
     "nice": (
         _cmd_nice,
@@ -510,10 +512,11 @@ COMMANDS = {
     ),
     "bound": (_cmd_bound, ("--in",) + NICENESS, ("--p", "--lambda", "--gamma", "--b")),
     "regime": (_cmd_regime, PATTERN + ("--c1",), ()),
-    "oracle": (_cmd_oracle, ("--in", "--p", "--dist"), ("--p",)),
+    "oracle": (_cmd_oracle, ("--budget", "--in", "--p", "--dist"), ("--p",)),
     "simulate": (
         _cmd_simulate,
-        STOCHASTIC
+        ("--budget",)
+        + STOCHASTIC
         + ("--in", "--task", "--thresholds", "--lambdas", "--variance-source", "--p4-grid")
         + NICENESS
         + SCHEDULE
@@ -521,7 +524,9 @@ COMMANDS = {
         ("--p",),
     ),
     "expose": (
-        _cmd_expose, STOCHASTIC + ("--in", "--p") + SCHEDULE + ("--lambda", "--gamma"), ("--p",)
+        _cmd_expose,
+        ("--seed", "--trials", "--in", "--p") + SCHEDULE + ("--lambda", "--gamma"),
+        ("--p",),
     ),
     "ext": (
         _cmd_ext,

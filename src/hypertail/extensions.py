@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -166,55 +166,44 @@ def is_balanced(rg: RootedGraph, budget: int = BALANCE_BUDGET) -> bool:
 
 
 def _scan_extensions(rg: RootedGraph, embedding: RootEmbedding, sample: GraphSample, induced: bool):
-    """Enumerate valid labelings; returns (z_sets, z_labeled, embedded edge sets)."""
+    """Enumerate valid labelings; returns (z_sets, z_labeled, embedded edge sets).
+
+    A backtracking search places y_1..y_s one at a time and checks each new
+    vertex only against the roots and the non-roots already placed.
+    """
     r, s = rg.root_count, rg.s
     if len(embedding.vertices) != r:
         raise ValueError(f"embedding carries {len(embedding.vertices)} roots, pattern has {r}")
     if sample.N - r < s:
         raise ValueError("host graph has too few vertices outside the roots")
-    roots = embedding.vertices
-    candidates = [v for v in range(sample.N) if v not in set(roots)]
-    z_sets = z_labeled = 0
-    subgraphs = set()
-    for chosen in combinations(candidates, s):
-        found = False
-        for perm in permutations(chosen):
-            ok = True
-            for j in range(s):
-                for i in range(r):
-                    want = rg.has_edge(i, rg.root_count + j)
-                    got = sample.has_edge(roots[i], perm[j])
-                    if (induced and want != got) or (not induced and want and not got):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for j2 in range(j + 1, s):
-                    want = rg.has_edge(rg.root_count + j, rg.root_count + j2)
-                    got = sample.has_edge(perm[j], perm[j2])
-                    if (induced and want != got) or (not induced and want and not got):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                z_labeled += 1
-                found = True
-                embedded = frozenset(
-                    tuple(sorted((roots[i], perm[j])))
-                    for j in range(s)
-                    for i in range(r)
-                    if rg.has_edge(i, rg.root_count + j)
-                ) | frozenset(
-                    tuple(sorted((perm[j], perm[j2])))
-                    for j in range(s)
-                    for j2 in range(j + 1, s)
-                    if rg.has_edge(rg.root_count + j, rg.root_count + j2)
-                )
-                subgraphs.add(embedded)
-        if found:
-            z_sets += 1
-    return z_sets, z_labeled, subgraphs
+    placed = list(embedding.vertices)  # host vertex of each label placed so far
+    vertex_sets, subgraphs = set(), set()
+    z_labeled = 0
+
+    def fits(label: int, v: int) -> bool:
+        for a, u in enumerate(placed):
+            want, got = rg.has_edge(a, label), sample.has_edge(u, v)
+            if (want and not got) or (induced and got and not want):
+                return False
+        return True
+
+    def extend(label: int):
+        nonlocal z_labeled
+        if label == rg.vertex_count:
+            z_labeled += 1
+            vertex_sets.add(frozenset(placed[r:]))
+            subgraphs.add(
+                frozenset(tuple(sorted((placed[a], placed[b]))) for a, b in rg.edges if b >= r)
+            )
+            return
+        for v in range(sample.N):
+            if v not in placed and fits(label, v):
+                placed.append(v)
+                extend(label + 1)
+                placed.pop()
+
+    extend(r)
+    return len(vertex_sets), z_labeled, subgraphs
 
 
 def count_extensions(
@@ -307,21 +296,11 @@ def z_identity_check(
     edge_arr = H.edges_arr[list(member_edges)] if member_edges else np.empty((0, H.k), np.int64)
     z_values = []
     conditioned = mismatches = 0
-    trial = 0
-    total_target = cfg.trials if conditioned_target is None else None
-    trial_cap = (
-        None if conditioned_target is None else max(1000, math.ceil(conditioned_target / q * 20))
-    )
-    while True:
-        if total_target is not None and trial >= total_target:
+    target = conditioned_target
+    samples = cfg.trials if target is None else max(1000, math.ceil(target / q * 20))
+    for trial in range(samples):
+        if target is not None and conditioned >= target:
             break
-        if conditioned_target is not None and conditioned >= conditioned_target:
-            break
-        if trial_cap is not None and trial >= trial_cap:
-            raise InfeasibleError(
-                f"only {conditioned} of {conditioned_target} conditioned trials "
-                f"after {trial} samples at q={q}"
-            )
         sample = sample_gnq(N, q, TrialStream(cfg.master_seed, trial, lane))
         if induced:
             z1 = count_extensions(rg, orientations[0], sample, induced=True).z_sets
@@ -336,7 +315,10 @@ def z_identity_check(
             deg_e1 = int(sample.kept[edge_arr].all(axis=1).sum()) if len(member_edges) else 0
             if deg_e1 != z1:
                 mismatches += 1
-        trial += 1
+    if target is not None and conditioned < target:
+        raise InfeasibleError(
+            f"only {conditioned} of {target} conditioned trials after {samples} samples at q={q}"
+        )
     zs = np.array(z_values, dtype=np.float64)
     stderr = float(zs.std(ddof=1) / math.sqrt(zs.size)) if zs.size > 1 else 0.0
     if induced:
@@ -349,7 +331,7 @@ def z_identity_check(
         spec_label=spec.label,
         N=N,
         q=q,
-        trials_total=trial,
+        trials_total=len(z_values),
         trials_conditioned=conditioned,
         mismatches=mismatches,
         all_equal=mismatches == 0,

@@ -312,6 +312,49 @@ def test_degenerate_instances_are_infeasible(tmp_path, text, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Each subcommand with a valid argv, and a value for each flag it no longer takes.
+NO_EFFECT_ARGV = {
+    "gen": ["gen", "--family", "disjoint", "--m", "2", "--k", "2"],
+    "stats": ["stats", "--in", "d.hgr"],
+    "nice": ["nice", "--in", "d.hgr", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "1"],
+    "bound": ["bound", "--in", "d.hgr", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "1"],
+    "regime": ["regime", "--family", "complete", "--r", "3", "--N", "10", "--c1", "1"],
+    "mcdiarmid": ["mcdiarmid", "--t", "1", "--lipschitz", "1,1"],
+    "expose": ["expose", "--in", "d.hgr", "--p", "0.125", "--eps-range", "0.1,0.5",
+               "--trials", "2", "--seed", "1"],
+    "ext": ["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10",
+            "--q", "0.5"],
+}
+NO_EFFECT_VALUES = {"--trials": "5", "--workers": "2", "--significance": "0.05",
+                    "--budget": "100000"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[("gen", flag) for flag in ("--trials", "--workers", "--significance")],
+    *[("expose", flag) for flag in ("--workers", "--significance")],
+    *[(command, "--budget")
+      for command in ("stats", "nice", "bound", "regime", "mcdiarmid", "expose", "ext")],
+])
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    assert run(NO_EFFECT_ARGV[command])[0] == 0
+    code, out, err = run(NO_EFFECT_ARGV[command] + [flag, NO_EFFECT_VALUES[flag]])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):
+    # 20000 edges is ample for the pair scan (m = 5), but 2^15 subsets exceed it
+    path = tmp_path / "d.hgr"
+    write_hgr(disjoint_edges(5, 3), path)
+    code, out, err = run(["oracle", "--in", str(path), "--p", "0.3", "--dist", "--budget", "20000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, _, _ = run(["oracle", "--in", str(path), "--p", "0.3", "--dist", "--budget", "40000"])
+    assert code == 0
+
+
 def test_malformed_hgr_is_usage_error(tmp_path):
     bad = tmp_path / "bad.hgr"
     bad.write_text("3 4\n")

@@ -1,8 +1,10 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hypertail import (
     BudgetError,
@@ -182,6 +184,56 @@ def test_extensions_labeled_factorial_identity_for_complete():
         assert count.z_sets <= comb(8 - 2, 2)
 
 
+def oracle_scan_extensions(rg, embedding, sample, induced):
+    """Brute force over every s-subset of candidates and every ordering of it;
+    returns (z_sets, z_labeled, z_subgraphs)."""
+    r, s = rg.root_count, rg.s
+    roots = embedding.vertices
+    candidates = [v for v in range(sample.N) if v not in roots]
+    # every pair the pattern constrains: root/non-root and non-root/non-root
+    pairs = [(a, b) for b in range(r, r + s) for a in range(b)]
+    z_sets = z_labeled = 0
+    subgraphs = set()
+    for chosen in combinations(candidates, s):
+        found = False
+        for perm in permutations(chosen):
+            image = roots + perm
+            got = {(a, b): sample.has_edge(image[a], image[b]) for a, b in pairs}
+            if induced:
+                ok = all(got[a, b] == rg.has_edge(a, b) for a, b in pairs)
+            else:
+                ok = all(got[a, b] for a, b in pairs if rg.has_edge(a, b))
+            if ok:
+                z_labeled += 1
+                found = True
+                subgraphs.add(frozenset(
+                    tuple(sorted((image[a], image[b]))) for a, b in pairs if rg.has_edge(a, b)
+                ))
+        z_sets += found
+    return z_sets, z_labeled, len(subgraphs)
+
+
+SCAN_SPECS = [
+    complete(3), complete(4), complete_bipartite(1, 2), complete_bipartite(2, 2),
+    complete_bipartite(2, 3),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCAN_SPECS), st.sampled_from([2, 3]), st.booleans(), st.data())
+def test_extensions_match_brute_force(spec, roots, induced, data):
+    assume(spec.v_g > roots)  # K3 and K{1,2} have no 3-root version
+    rg = build_rooted(spec, roots)
+    N = data.draw(st.integers(rg.vertex_count, 8))
+    kept = data.draw(st.lists(st.booleans(), min_size=comb(N, 2), max_size=comb(N, 2)))
+    sample = GraphSample(N=N, kept=np.array(kept, dtype=bool))
+    embedding = RootEmbedding(tuple(data.draw(st.permutations(range(N)))[:roots]))
+    count = count_extensions(rg, embedding, sample, induced=induced)
+    assert (count.z_sets, count.z_labeled, count.z_subgraphs) == oracle_scan_extensions(
+        rg, embedding, sample, induced
+    )
+
+
 def test_extensions_validation():
     rg = build_rooted(complete(4), 2)
     with pytest.raises(ValueError):
@@ -322,8 +374,6 @@ def report_fields_defined(report):
 def test_codegree_dominated_by_three_root_extensions():
     """Every co-degree of the percolated hypergraph is at most twice the
     worst three-root extension count, exhaustively over root embeddings."""
-    from itertools import permutations
-
     spec, N, q = complete(4), 7, 0.6
     H = subgraph_hypergraph(spec, N)
     rg2 = build_rooted(spec, 3)
