@@ -20,9 +20,10 @@ class InfeasibleError(RuntimeError):
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertex ids 0..n-1.
 
-    ``edges`` is a lexicographically sorted tuple of strictly increasing
-    k-tuples with no duplicates; ``incidence[v]`` lists the ids of the edges
-    containing v.  Instances are safe to share across worker threads.
+    ``edges_arr`` is the (m, k) int64 array of the edges: each row strictly
+    increasing, rows in lexicographic order, no duplicates.  ``edges`` and
+    ``incidence`` are tuple views of it, built on first use.  Instances are
+    safe to share across worker threads.
     """
 
     def __init__(self, n: int, k: int, edges):
@@ -30,44 +31,58 @@ class Hypergraph:
             raise ValueError(f"uniformity k must be >= 1, got {k}")
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        canonical = []
-        for raw in edges:
-            edge = tuple(sorted(raw))
-            if len(edge) != k or len(set(edge)) != k:
-                raise ValueError(f"edge {tuple(raw)} does not have {k} distinct vertices")
-            if edge[0] < 0 or edge[-1] >= n:
-                raise ValueError(f"edge {edge} has a vertex id outside [0, {n})")
-            canonical.append(edge)
-        canonical.sort()
-        for prev, cur in zip(canonical, canonical[1:]):
-            if prev == cur:
-                raise ValueError(f"duplicate edge {cur}")
+        raw = edges if isinstance(edges, np.ndarray) else [tuple(edge) for edge in edges]
+        try:
+            rows = np.array(raw, dtype=np.int64).reshape(len(raw), k)
+        except ValueError:  # ragged rows, or rows of another length
+            wrong = [edge for edge in raw if len(edge) != k]
+            if not wrong:
+                raise
+            raise ValueError(f"edge {tuple(wrong[0])} does not have {k} distinct vertices") from None
+        rows.sort(axis=1)
+        repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        bad = np.flatnonzero(repeated | (rows[:, 0] < 0) | (rows[:, -1] >= n))
+        if bad.size:
+            edge = tuple(rows[bad[0]].tolist())
+            if repeated[bad[0]]:
+                raise ValueError(f"edge {edge} does not have {k} distinct vertices")
+            raise ValueError(f"edge {edge} has a vertex id outside [0, {n})")
+        rows = rows[np.lexsort(rows.T[::-1])]
+        dup = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if dup.size:
+            raise ValueError(f"duplicate edge {tuple(rows[dup[0] + 1].tolist())}")
+        rows.setflags(write=False)
         self.n = int(n)
         self.k = int(k)
-        self.edges = tuple(canonical)
-        self.m = len(canonical)
-        incidence = [[] for _ in range(n)]
-        for idx, edge in enumerate(canonical):
-            for v in edge:
-                incidence[v].append(idx)
-        self.incidence = tuple(tuple(lst) for lst in incidence)
-        arr = np.array(canonical, dtype=np.int64) if canonical else np.empty((0, k), dtype=np.int64)
-        arr.setflags(write=False)
-        self.edges_arr = arr
+        self.m = len(rows)
+        self.edges_arr = rows
 
     def __eq__(self, other):
         return (
             isinstance(other, Hypergraph)
             and self.n == other.n
             and self.k == other.k
-            and self.edges == other.edges
+            and np.array_equal(self.edges_arr, other.edges_arr)
         )
 
     def __hash__(self):
-        return hash((self.n, self.k, self.edges))
+        return hash((self.n, self.k, self.edges_arr.tobytes()))
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, k={self.k})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``edges_arr`` as k-tuples."""
+        return tuple(map(tuple, self.edges_arr.tolist()))
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """``incidence[v]``: the ids of the edges containing v, ascending."""
+        flat = self.edges_arr.ravel()
+        ids = (np.argsort(flat, kind="stable") // self.k).tolist()
+        ends = np.cumsum(np.bincount(flat, minlength=self.n)).tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def pair_index(self) -> "PairIndex":
@@ -76,18 +91,13 @@ class Hypergraph:
             empty = np.empty(0, dtype=np.int64)
             ids = np.empty((self.m, 0), dtype=np.int64)
             return PairIndex(count=0, u=empty, v=empty, edge_pair_ids=ids)
-        cols = list(combinations(range(self.k), 2))
-        lo = np.stack([self.edges_arr[:, i] for i, _ in cols], axis=1)
-        hi = np.stack([self.edges_arr[:, j] for _, j in cols], axis=1)
-        codes = lo * self.n + hi
+        i, j = np.array(list(combinations(range(self.k), 2))).T
+        codes = self.edges_arr[:, i] * self.n + self.edges_arr[:, j]
         uniq, inverse = np.unique(codes, return_inverse=True)
         ids = inverse.reshape(codes.shape).astype(np.int64)
-        for a in (uniq, ids):
+        u, v = uniq // self.n, uniq % self.n
+        for a in (ids, u, v):
             a.setflags(write=False)
-        u = (uniq // self.n).astype(np.int64)
-        v = (uniq % self.n).astype(np.int64)
-        u.setflags(write=False)
-        v.setflags(write=False)
         return PairIndex(count=len(uniq), u=u, v=v, edge_pair_ids=ids)
 
 
@@ -128,11 +138,7 @@ class HypergraphStats:
 
 
 def validate(edges, n: int, k: int) -> Hypergraph:
-    """Build a hypergraph from a raw edge list, rejecting malformed input.
-
-    Edges of the wrong cardinality, vertex ids outside [0, n) and duplicate
-    edges (after canonical sorting) are all hard errors.
-    """
+    """Build a hypergraph from a raw edge list; :class:`Hypergraph` rejects malformed input."""
     return Hypergraph(n=n, k=k, edges=edges)
 
 
@@ -142,20 +148,14 @@ def degree_profile(H: Hypergraph) -> DegreeProfile:
     The co-degree maximum scans only pairs that co-occur inside some edge;
     all other pairs have co-degree 0.
     """
-    deg = np.bincount(H.edges_arr.ravel(), minlength=H.n) if H.m else np.zeros(H.n, dtype=np.int64)
-    deg = deg.astype(np.int64)
+    deg = np.bincount(H.edges_arr.ravel(), minlength=H.n).astype(np.int64)
     deg.setflags(write=False)
-    pairs = H.pair_index
-    if pairs.count:
-        codeg = np.bincount(pairs.edge_pair_ids.ravel(), minlength=pairs.count)
-        max_codeg = int(codeg.max())
-    else:
-        max_codeg = 0
+    codeg = np.bincount(H.pair_index.edge_pair_ids.ravel(), minlength=1)  # [0] without pairs
     return DegreeProfile(
         deg=deg,
-        max_degree=int(deg.max()) if H.n else 0,
-        min_degree=int(deg.min()) if H.n else 0,
-        max_codegree=max_codeg,
+        max_degree=int(deg.max()),
+        min_degree=int(deg.min()),
+        max_codegree=int(codeg.max()),
     )
 
 

@@ -292,8 +292,7 @@ def z_identity_check(
     orientations = [RootEmbedding(vertices=(0, 1))]
     if spec.family == "complete_bipartite" and spec.parts[0] != spec.parts[1]:
         orientations.append(RootEmbedding(vertices=(1, 0)))
-    member_edges = H.incidence[e1]
-    edge_arr = H.edges_arr[list(member_edges)] if member_edges else np.empty((0, H.k), np.int64)
+    edge_arr = H.edges_arr[(H.edges_arr == e1).any(axis=1)]  # the edges through e1
     z_values = []
     conditioned = mismatches = 0
     target = conditioned_target
@@ -312,7 +311,7 @@ def z_identity_check(
         z_values.append(z1)
         if sample.kept[e1]:
             conditioned += 1
-            deg_e1 = int(sample.kept[edge_arr].all(axis=1).sum()) if len(member_edges) else 0
+            deg_e1 = int(sample.kept[edge_arr].all(axis=1).sum())
             if deg_e1 != z1:
                 mismatches += 1
     if target is not None and conditioned < target:

@@ -82,7 +82,7 @@ def _copies(spec: GraphSpec, N: int):
     if spec.family == "complete":
         r = spec.parts[0]
         for sub in combinations(range(N), r):
-            yield tuple(sorted(pair_rank(x, y) for x, y in combinations(sub, 2)))
+            yield tuple(pair_rank(x, y) for x, y in combinations(sub, 2))
     else:
         a, b = spec.parts
         for left in combinations(range(N), a):
@@ -91,7 +91,7 @@ def _copies(spec: GraphSpec, N: int):
             for right in combinations(rest, b):
                 if a == b and left > right:
                     continue  # unordered side pair: count each split once
-                yield tuple(sorted(pair_rank(x, y) for x in left for y in right))
+                yield tuple(pair_rank(x, y) for x in left for y in right)
 
 
 def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Hypergraph:
@@ -108,7 +108,7 @@ def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATI
             m //= 2
     if m > budget:
         raise BudgetError(f"enumeration of {m} copies exceeds budget {budget}")
-    edges = sorted(_copies(spec, N))
+    edges = list(_copies(spec, N))  # enumerate here, so traces charge it to this layer
     return Hypergraph(n=comb(N, 2), k=spec.e_g, edges=edges)
 
 
@@ -129,10 +129,9 @@ def random_uniform(n: int, m: int, k: int, seed: int, budget: int = 1_000_000) -
     if total <= budget:
         universe = list(combinations(range(n), k))
         picks = rng.choice(total, size=m, replace=False)
-        edges = [universe[i] for i in sorted(picks.tolist())]
+        edges = [universe[i] for i in picks.tolist()]
     else:
-        chosen = set()
-        while len(chosen) < m:
-            chosen.add(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
-        edges = sorted(chosen)
+        edges = set()
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
     return Hypergraph(n=n, k=k, edges=edges)

@@ -1,12 +1,14 @@
 """Bit-exact text interchange format for hypergraphs.
 
-Line 1 is ``k n m`` as ASCII decimals separated by single spaces; then m
-lines of k space-separated vertex ids.  Every edge is sorted ascending, the
-edge list is sorted lexicographically, lines end with LF, and there is no
-trailing whitespace.  Readers reject any deviation.
+Line 1 is ``k n m``; then m lines of k vertex ids below 2^63 - 1.  Numbers are
+ASCII decimals without leading zeros, separated by single spaces.  Every edge
+is sorted ascending, the edge list is sorted lexicographically, lines end with
+LF, and there is no trailing whitespace.  Readers reject any deviation.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .core import Hypergraph, validate
 
@@ -16,9 +18,8 @@ class HgrFormatError(ValueError):
 
 
 def dumps(H: Hypergraph) -> str:
-    lines = [f"{H.k} {H.n} {H.m}"]
-    lines.extend(" ".join(str(v) for v in edge) for edge in H.edges)
-    return "\n".join(lines) + "\n"
+    line = " ".join(["%d"] * H.k) + "\n"
+    return f"{H.k} {H.n} {H.m}\n" + (line * H.m) % tuple(H.edges_arr.ravel().tolist())
 
 
 def write_hgr(H: Hypergraph, path) -> None:
@@ -26,39 +27,38 @@ def write_hgr(H: Hypergraph, path) -> None:
         fh.write(dumps(H))
 
 
-def _ints(line: str, what: str) -> list[int]:
-    parts = line.split(" ")
-    if any(not part or not part.isdigit() for part in parts):
-        raise HgrFormatError(f"{what}: tokens must be decimals separated by single spaces")
-    return [int(p) for p in parts]
-
-
 def loads(text: str) -> Hypergraph:
     if not text.endswith("\n"):
         raise HgrFormatError("file must end with a newline")
     if "\r" in text:
         raise HgrFormatError("file must use LF line endings")
-    lines = text.split("\n")[:-1]
-    if not lines:
-        raise HgrFormatError("missing header")
-    header = _ints(lines[0], "header")
-    if len(header) != 3:
+    raw = text.encode()
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    is_sep = (buf == ord(" ")) | (buf == ord("\n"))
+    ends = np.flatnonzero(is_sep)  # the separator after each number
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    padded = starts[(ends == starts) | (buf[starts] == ord("0")) & (ends - starts > 1)]
+    stray = np.concatenate((np.flatnonzero(~(digit | is_sep)), padded))
+    if stray.size:
+        line = raw.count(b"\n", 0, stray.min()) + 1
+        raise HgrFormatError(f"line {line}: not single-spaced ASCII decimals without leading zeros")
+    line_ends = np.flatnonzero(buf[ends] == ord("\n"))  # the last number of each line
+    if line_ends[0] != 2:
         raise HgrFormatError("header must be 'k n m'")
-    k, n, m = header
-    if len(lines) - 1 != m:
-        raise HgrFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        ids = _ints(line, f"line {lineno}")
-        if len(ids) != k:
-            raise HgrFormatError(f"line {lineno}: expected {k} vertex ids")
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise HgrFormatError(f"line {lineno}: edge must be strictly increasing")
-        edges.append(tuple(ids))
-    for prev, cur in zip(edges, edges[1:]):
-        if prev >= cur:
-            raise HgrFormatError("edge list must be sorted lexicographically")
-    return validate(edges, n=n, k=k)
+    k, n, m = map(int, text[: ends[2]].split(" "))
+    if len(line_ends) - 1 != m:
+        raise HgrFormatError(f"expected {m} edge lines, found {len(line_ends) - 1}")
+    wrong = np.flatnonzero(np.diff(line_ends) != k)
+    if wrong.size:
+        raise HgrFormatError(f"line {wrong[0] + 2}: expected {k} vertex ids")
+    rows = np.fromstring(raw[ends[2] + 1 :], dtype=np.int64, sep=" ").reshape(m, k)
+    if rows.size and rows.max() == np.iinfo(np.int64).max:  # fromstring saturates larger ids
+        raise HgrFormatError("vertex ids must be below 2^63 - 1")
+    H = validate(rows, n=n, k=k)
+    if not np.array_equal(rows, H.edges_arr):
+        raise HgrFormatError("edges must be sorted ascending and listed in lexicographic order")
+    return H
 
 
 def read_hgr(path) -> Hypergraph:

@@ -21,6 +21,7 @@ from .percolation import (
     ExposureSchedule,
     RoundState,
     check_preconditions,
+    codeg_trigger,
     run_exposure,
     surviving_degrees,
     surviving_edge_mask,
@@ -280,7 +281,7 @@ def verify_p4(
     points = []
     for qi, q in enumerate(q_grid):
         cap = max(2.0 * q ** (H.k - 1) * delta_max, params.gamma_cap)
-        trigger = math.sqrt(params.p) * q ** (H.k - 1.5) * delta_max**2 * H.n * log_n >= H.m
+        trigger = codeg_trigger(params.p, q, H, profile)
         deg_viol = codeg_viol = viol = 0
         max_deg_seen = max_codeg_seen = 0
         for t in range(cfg.trials):

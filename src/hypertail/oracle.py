@@ -53,21 +53,6 @@ def exact_expectation(H: Hypergraph, p: float) -> float:
     return p**H.k * H.m
 
 
-def _sorted_intersection_size(a, b) -> int:
-    # merge of two sorted tuples
-    i = j = size = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            size += 1
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return size
-
-
 def exact_variance(H: Hypergraph, p: float, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
     """Var(X) from pairwise union sizes.
 
@@ -81,13 +66,14 @@ def exact_variance(H: Hypergraph, p: float, pair_budget: int = DEFAULT_PAIR_BUDG
     k = H.k
     p2k = p ** (2 * k)
     terms = [p**k - p2k] * H.m
-    for i, edge in enumerate(H.edges):
+    edge_sets = [set(edge) for edge in H.edges]
+    for i, edge in enumerate(edge_sets):
         overlapping = set()
         for v in edge:
             overlapping.update(H.incidence[v])
         overlapping.discard(i)
         for j in overlapping:
-            union = 2 * k - _sorted_intersection_size(edge, H.edges[j])
+            union = 2 * k - len(edge & edge_sets[j])
             term = p**union - p2k
             assert term >= 0.0  # |e U e'| <= 2k forces nonnegative covariance
             terms.append(term)

@@ -76,6 +76,21 @@ def test_hgr_rejects_missing_final_newline():
         loads("2 3 1\n0 1")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2 3 1\n0 01\n", "02 3 1\n0 1\n", "2 3 1\n0 １\n", "2 3 1\n0 99999999999999999999\n"],
+    ids=["leading-zero", "header-leading-zero", "fullwidth-digit", "id-above-int64"],
+)
+def test_hgr_rejects_noncanonical_numbers(tmp_path, text):
+    with pytest.raises(HgrFormatError):
+        loads(text)
+    path = tmp_path / "h.hgr"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["stats", "--in", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_hgr_disjoint_round_trip(tmp_path):
     H = disjoint_edges(4, 2)
     path = tmp_path / "d.hgr"
