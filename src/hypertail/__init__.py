@@ -28,13 +28,11 @@ from .oracle import exact_distribution, exact_expectation, exact_moments, exact_
 from .percolation import (
     STRICT_EPS_RANGE,
     ExposureSchedule,
-    PercolationSample,
     PreconditionReport,
     RoundState,
     build_schedule,
     check_preconditions,
     lipschitz_bound,
-    percolate,
     run_exposure,
 )
 from .bounds import (

@@ -15,9 +15,10 @@ from math import comb
 import numpy as np
 
 from .bounds import NicenessParams
-from .core import BudgetError, InfeasibleError
+from .core import BudgetError, InfeasibleError, degree_profile
 from .generators import GraphSpec, pair_rank, subgraph_hypergraph
 from .montecarlo import LANE_EXTENSION, TrialConfig, clopper_pearson
+from .percolation import codeg_trigger
 from .rng import TrialStream
 
 BALANCE_BUDGET = 20
@@ -378,14 +379,12 @@ def extension_cap_check(
     if not params.p <= q < 1.0:
         raise ValueError("q must lie in [p, 1)")
     H = subgraph_hypergraph(spec, N)
-    deg = np.bincount(H.edges_arr.ravel(), minlength=H.n) if H.m else np.zeros(H.n, np.int64)
-    delta_max = int(deg.max())
-    n, m, k = H.n, H.m, H.k
-    log_n = math.log(n)
-    trigger = math.sqrt(p) * q ** (k - 1.5) * delta_max**2 * n * log_n >= m
+    profile = degree_profile(H)
+    log_n = math.log(H.n)
+    trigger = codeg_trigger(p, q, H, profile)
     rg1 = build_rooted(spec, 2)
     rg2 = build_rooted(spec, 3) if spec.v_g >= 4 else None
-    cap = max(2.0 * q ** (k - 1) * delta_max, params.gamma_cap)
+    cap = max(2.0 * q ** (H.k - 1) * profile.max_degree, params.gamma_cap)
     induced = spec.family == "complete"
     z1_viol = z2_viol = z2_checked = 0
     for t in range(cfg.trials):

@@ -1,9 +1,10 @@
 """Bit-exact text interchange format for hypergraphs.
 
-Line 1 is ``k n m``; then m lines of k vertex ids below 2^63 - 1.  Numbers are
-ASCII decimals without leading zeros, separated by single spaces.  Every edge
-is sorted ascending, the edge list is sorted lexicographically, lines end with
-LF, and there is no trailing whitespace.  Readers reject any deviation.
+Line 1 is ``k n m``; then m lines of k vertex ids.  Numbers are ASCII
+decimals below 2^63 - 1 without leading zeros, separated by single spaces.
+Every edge is sorted ascending, the edge list is sorted lexicographically,
+lines end with LF, and there is no trailing whitespace.  Readers reject any
+deviation.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def loads(text: str) -> Hypergraph:
     if line_ends[0] != 2:
         raise HgrFormatError("header must be 'k n m'")
     k, n, m = map(int, text[: ends[2]].split(" "))
+    if max(k, n, m) >= np.iinfo(np.int64).max:
+        raise HgrFormatError("header numbers must be below 2^63 - 1")
     if len(line_ends) - 1 != m:
         raise HgrFormatError(f"expected {m} edge lines, found {len(line_ends) - 1}")
     wrong = np.flatnonzero(np.diff(line_ends) != k)

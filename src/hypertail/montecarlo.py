@@ -416,12 +416,11 @@ def check_degree_moment(
         picker = TrialStream(cfg.master_seed, 0, lane).generator()
         size = min(vertices, survivors.size)
         vertices = sorted(picker.choice(survivors, size=size, replace=False).tolist())
-    alive = surviving_edge_mask(H, state.kept)
     entries = []
     for s_idx, v in enumerate(vertices):
         if not state.kept[v]:
             raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
-        live_edges = [e for e in H.incidence[v] if alive[e]]
+        live_edges = [e for e in H.incidence[v] if state.alive[e]]
         others = sorted({u for e in live_edges for u in H.edges[e] if u != v})
         pos = {u: j + 1 for j, u in enumerate(others)}  # v sits at column 0
         relevant = 1 + len(others)

@@ -22,16 +22,6 @@ _REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PercolationSample:
-    """Outcome of one percolation: survivor bitmap, edge count and degrees."""
-
-    q: float
-    kept: np.ndarray
-    edge_count: int
-    deg: np.ndarray
-
-
-@dataclass(frozen=True)
 class ExposureSchedule:
     """Round count I and per-round retention epsilon with epsilon^I = p."""
 
@@ -52,13 +42,15 @@ class ExposureSchedule:
 class RoundState:
     """Survivors and degree statistics after round ``index`` of the chain.
 
-    ``codeg_trigger`` records whether this round is in the regime where the
-    co-degree smallness condition is switched on, and ``eta`` is the matching
-    pair-overlap factor (k / ln^3 n when triggered, else 1).
+    ``alive`` flags the edges whose k vertices all survive.  ``codeg_trigger``
+    records whether this round is in the regime where the co-degree smallness
+    condition is switched on, and ``eta`` is the matching pair-overlap factor
+    (k / ln^3 n when triggered, else 1).
     """
 
     index: int
     kept: np.ndarray
+    alive: np.ndarray
     edge_count: int
     deg: np.ndarray
     deg_sq_sum: int
@@ -69,7 +61,8 @@ class RoundState:
 @dataclass(frozen=True)
 class PreconditionReport:
     """Evaluation of the four per-round conditions that keep the chain's
-    induction alive, plus the deviation radii and per-vertex change bounds."""
+    induction alive, with the bounds they compare against and the next
+    round's deviation radii t1, t2."""
 
     index: int
     holds: tuple[bool, bool, bool, bool]
@@ -78,28 +71,10 @@ class PreconditionReport:
     deg_cap: float
     t1: float
     t2: float
-    lipschitz_max: float
-    max_codeg: int
-    min_pos_deg: int | None
-    codeg_holds_literal: bool
 
     @property
     def all_hold(self) -> bool:
         return all(self.holds)
-
-
-def percolate(H: Hypergraph, q: float, stream: TrialStream) -> PercolationSample:
-    """Keep every vertex independently with probability q.
-
-    Vertex v's decision is the v-th uniform of the stream, so two calls with
-    the same (master_seed, trial, lane) produce identical samples.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"retention probability must lie in (0, 1), got {q}")
-    kept = stream.uniforms(H.n) < q
-    alive = surviving_edge_mask(H, kept)
-    deg = surviving_degrees(H, alive)
-    return PercolationSample(q=q, kept=kept, edge_count=int(alive.sum()), deg=deg)
 
 
 def surviving_edge_mask(H: Hypergraph, kept: np.ndarray) -> np.ndarray:
@@ -137,15 +112,6 @@ def codegree_sums(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
         np.add.at(out, pairs.u, counts)
         np.add.at(out, pairs.v, counts)
     return out
-
-
-def surviving_codegree(H: Hypergraph, kept: np.ndarray, u: int, v: int) -> int:
-    """Co-degree of u, v in the surviving sub-hypergraph."""
-    if not (kept[u] and kept[v]):
-        return 0
-    alive = surviving_edge_mask(H, kept)
-    shared = set(H.incidence[u]).intersection(H.incidence[v])
-    return int(sum(1 for e in shared if alive[e]))
 
 
 def build_schedule(
@@ -208,6 +174,7 @@ def _round_state(
     return RoundState(
         index=index,
         kept=kept,
+        alive=alive,
         edge_count=int(alive.sum()),
         deg=deg,
         deg_sq_sum=int((deg.astype(np.int64) ** 2).sum()),
@@ -259,8 +226,7 @@ def check_preconditions(
     (1) the edge count sits in its shrinking window; (2) the degree-square sum
     is bounded; (3) every surviving degree respects max{2 eps^((k-1)i) Delta,
     Gamma}; (4) when the co-degree trigger fires, every surviving co-degree is
-    at most (min positive surviving degree) / ln^3 n.  The literal variant of
-    (4), which quantifies over degree-0 survivors as well, is also recorded.
+    at most (min positive surviving degree) / ln^3 n.
     """
     if profile is None:
         profile = degree_profile(H)
@@ -283,25 +249,13 @@ def check_preconditions(
     holds_deg_sq = state.deg_sq_sum <= deg_sq_bound
 
     deg_cap = max(2 * eps ** ((k - 1) * i) * delta_max, gamma_cap)
-    holds_cap = int(state.deg.max()) <= deg_cap if H.n else True
+    holds_cap = int(state.deg.max()) <= deg_cap
 
-    alive = surviving_edge_mask(H, state.kept)
-    pair_counts = surviving_pair_counts(H, alive)
-    max_codeg = int(pair_counts.max()) if pair_counts.size else 0
-    pos = state.deg[state.deg > 0]
-    min_pos_deg = int(pos.min()) if pos.size else None
-    kept_degs = state.deg[state.kept]
-    min_kept_deg = int(kept_degs.min()) if kept_degs.size else None
-    if not state.codeg_trigger:
-        holds_codeg = True
-        holds_codeg_literal = True
-    else:
-        holds_codeg = max_codeg == 0 or (
-            min_pos_deg is not None and max_codeg <= min_pos_deg * log_n**-3
-        )
-        holds_codeg_literal = max_codeg == 0 or (
-            min_kept_deg is not None and max_codeg <= min_kept_deg * log_n**-3
-        )
+    holds_codeg = True
+    if state.codeg_trigger and state.edge_count:
+        max_codeg = int(surviving_pair_counts(H, state.alive).max(initial=0))  # k = 1 has no pairs
+        min_pos_deg = int(state.deg[state.deg > 0].min())
+        holds_codeg = max_codeg <= min_pos_deg * log_n**-3
 
     t1 = (p**k * m) ** -0.5 * eps ** (k * (i + 1)) * m + (1 - eps) * lam * math.sqrt(
         eps ** ((k + 1) * (i + 1)) * m / p
@@ -309,15 +263,6 @@ def check_preconditions(
     t2 = eps ** ((2 * k - 1) * (i + 1)) * delta_max**2 * n * log_n**-2 + (
         k * eps ** ((k + 0.5) * (i + 1)) * m / math.sqrt(p)
     )
-
-    cross = np.zeros(n, dtype=np.int64)
-    pairs = H.pair_index
-    if pairs.count:
-        deg = state.deg
-        np.add.at(cross, pairs.u, pair_counts * deg[pairs.v])
-        np.add.at(cross, pairs.v, pair_counts * deg[pairs.u])
-    per_vertex = state.deg.astype(np.int64) ** 2 + 4 * cross
-    lipschitz_max = float(per_vertex.max()) if n else 0.0
 
     return PreconditionReport(
         index=i,
@@ -327,10 +272,6 @@ def check_preconditions(
         deg_cap=deg_cap,
         t1=t1,
         t2=t2,
-        lipschitz_max=lipschitz_max,
-        max_codeg=max_codeg,
-        min_pos_deg=min_pos_deg,
-        codeg_holds_literal=holds_codeg_literal,
     )
 
 
@@ -339,10 +280,9 @@ def lipschitz_bound(H: Hypergraph, state: RoundState, v: int) -> int:
     retention outcome is flipped: deg(v)^2 + 4 * sum_u codeg(u, v) * deg(u)."""
     if not state.kept[v]:
         raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
-    alive = surviving_edge_mask(H, state.kept)
     codeg: dict[int, int] = {}
     for e in H.incidence[v]:
-        if alive[e]:
+        if state.alive[e]:
             for u in H.edges[e]:
                 if u != v:
                     codeg[u] = codeg.get(u, 0) + 1

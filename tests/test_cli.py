@@ -78,8 +78,16 @@ def test_hgr_rejects_missing_final_newline():
 
 @pytest.mark.parametrize(
     "text",
-    ["2 3 1\n0 01\n", "02 3 1\n0 1\n", "2 3 1\n0 １\n", "2 3 1\n0 99999999999999999999\n"],
-    ids=["leading-zero", "header-leading-zero", "fullwidth-digit", "id-above-int64"],
+    [
+        "2 3 1\n0 01\n",
+        "02 3 1\n0 1\n",
+        "2 3 1\n0 １\n",
+        "2 3 1\n0 99999999999999999999\n",
+        "1 100000000000000000000 1\n9223372036854775806\n",
+    ],
+    ids=[
+        "leading-zero", "header-leading-zero", "fullwidth-digit", "id-above-int64", "n-above-int64"
+    ],
 )
 def test_hgr_rejects_noncanonical_numbers(tmp_path, text):
     with pytest.raises(HgrFormatError):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertail import (
+    Hypergraph,
     InfeasibleError,
     TrialStream,
     build_schedule,
@@ -14,14 +16,13 @@ from hypertail import (
     degree_profile,
     disjoint_edges,
     lipschitz_bound,
-    percolate,
+    random_uniform,
     run_exposure,
     subgraph_hypergraph,
 )
 from hypertail.percolation import (
     RoundState,
     codegree_sums,
-    surviving_codegree,
     surviving_degrees,
     surviving_edge_mask,
 )
@@ -39,60 +40,6 @@ def recount_deg_sq(H, kept):
             for v in edge:
                 deg[v] += 1
     return sum(d * d for d in deg)
-
-
-# --- percolate -----------------------------------------------------------
-
-
-def test_percolate_near_full_retention_keeps_everything():
-    H = subgraph_hypergraph(complete(3), 8)
-    sample = percolate(H, 1 - 1e-15, TrialStream(3, 0))
-    assert sample.edge_count == H.m
-    assert sample.kept.all()
-
-
-def test_percolate_is_deterministic_per_trial():
-    H = disjoint_edges(20, 3)
-    a = percolate(H, 0.4, TrialStream(11, 5))
-    b = percolate(H, 0.4, TrialStream(11, 5))
-    assert np.array_equal(a.kept, b.kept)
-    assert a.edge_count == b.edge_count
-    c = percolate(H, 0.4, TrialStream(11, 6))
-    assert not np.array_equal(a.kept, c.kept)
-
-
-def test_percolate_consistency_invariants():
-    H = subgraph_hypergraph(complete(3), 9)
-    for trial in range(50):
-        sample = percolate(H, 0.5, TrialStream(2, trial))
-        assert sample.edge_count == recount_edges(H, sample.kept)
-        assert int(sample.deg.sum()) == H.k * sample.edge_count
-        assert not sample.deg[~sample.kept].any()
-
-
-def test_percolate_rejects_bad_q():
-    H = disjoint_edges(2, 2)
-    for q in (0.0, 1.0, 2.0):
-        with pytest.raises(ValueError):
-            percolate(H, q, TrialStream(1, 0))
-
-
-def test_percolate_mean_tracks_binomial():
-    H = disjoint_edges(200, 3)
-    trials = 4000
-    xs = [percolate(H, 0.3, TrialStream(17, t)).edge_count for t in range(trials)]
-    sigma = math.sqrt(200 * 0.027 * 0.973)
-    assert abs(np.mean(xs) - 5.4) < 4 * sigma / math.sqrt(trials)
-
-
-def test_surviving_codegree_query():
-    H = subgraph_hypergraph(complete(3), 6)
-    sample = percolate(H, 0.7, TrialStream(23, 1))
-    alive = surviving_edge_mask(H, sample.kept)
-    for u in range(0, H.n, 3):
-        for v in range(u + 1, min(u + 3, H.n)):
-            direct = sum(1 for e, edge in enumerate(H.edges) if alive[e] and u in edge and v in edge)
-            assert surviving_codegree(H, sample.kept, u, v) == direct
 
 
 # --- schedules -----------------------------------------------------------
@@ -193,16 +140,16 @@ def test_single_round_exposure_equals_percolate_stream():
     schedule = build_schedule(0.3, H.n, eps_range=(0.1, 0.5), force_rounds=1)
     for trial in range(10):
         states = run_exposure(H, schedule, TrialStream(41, trial))
-        direct = percolate(H, 0.3, TrialStream(41, trial))
-        assert np.array_equal(states[1].kept, direct.kept)
-        assert states[1].edge_count == direct.edge_count
+        kept = TrialStream(41, trial).uniforms(H.n) < 0.3
+        assert np.array_equal(states[1].kept, kept)
+        assert states[1].edge_count == recount_edges(H, kept)
 
 
 def test_codegree_sum_identity():
     H = subgraph_hypergraph(complete(3), 9)
     for trial in range(20):
-        sample = percolate(H, 0.5, TrialStream(7, trial))
-        alive = surviving_edge_mask(H, sample.kept)
+        kept = TrialStream(7, trial).uniforms(H.n) < 0.5
+        alive = surviving_edge_mask(H, kept)
         sums = codegree_sums(H, alive)
         deg = surviving_degrees(H, alive)
         assert (sums == (H.k - 1) * deg).all()
@@ -240,6 +187,61 @@ def test_preconditions_round0_codeg_matches_global_condition():
         assert report.holds[3] == expected
 
 
+@st.composite
+def small_uniform(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(k, 10))
+    m = draw(st.integers(1, min(15, math.comb(n, k))))
+    return random_uniform(n, m, k, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def recount_codeg_condition(H, alive, trigger):
+    """Independent oracle for condition (4): python-loop co-degrees and degrees."""
+    deg = [0] * H.n
+    codeg = {}
+    for edge, live in zip(H.edges, alive):
+        if live:
+            for v in edge:
+                deg[v] += 1
+            for pair in combinations(edge, 2):
+                codeg[pair] = codeg.get(pair, 0) + 1
+    if not trigger or not codeg:
+        return True
+    return max(codeg.values()) <= min(d for d in deg if d > 0) * math.log(H.n) ** -3
+
+
+@given(
+    small_uniform(),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 1000),
+    st.integers(1, 3),
+    st.sampled_from([0.3, 0.5, 0.8]),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_round_matches_recount_of_alive_and_codeg_condition(H, seed, trial, rounds, eps):
+    schedule = build_schedule(eps**rounds, H.n, eps_range=(0.1, 0.9), force_rounds=rounds)
+    for state in run_exposure(H, schedule, TrialStream(seed, trial)):
+        alive = [all(state.kept[v] for v in edge) for edge in H.edges]
+        assert state.alive.tolist() == alive
+        report = check_preconditions(H, state, schedule, lam=2.0, gamma_cap=4.0)
+        assert report.holds[3] == recount_codeg_condition(H, alive, state.codeg_trigger)
+
+
+@pytest.mark.parametrize(
+    "n,clique,holds",
+    [(100, 99, True), (4, 3, False)],
+    ids=["K99-plus-isolated", "triangle-plus-isolated"],
+)
+def test_codeg_condition_skips_degree0_survivors(n, clique, holds):
+    # round 0 keeps the isolated vertex; (4) compares against the minimum positive
+    # degree, clique - 1, so it holds iff 1 <= (clique - 1) / ln^3 n
+    H = Hypergraph(n=n, k=2, edges=list(combinations(range(clique), 2)))
+    schedule, profile, states = make_schedule_and_states(H)
+    assert states[0].codeg_trigger
+    report = check_preconditions(H, states[0], schedule, lam=3.0, gamma_cap=5.0, profile=profile)
+    assert report.holds[3] == holds
+
+
 def test_preconditions_detect_window_violation():
     # needs p^k m >> 1 so the round-1 window excludes 0
     H = disjoint_edges(10_000, 3)
@@ -247,6 +249,7 @@ def test_preconditions_detect_window_violation():
     dead = RoundState(
         index=1,
         kept=np.zeros(H.n, dtype=bool),
+        alive=np.zeros(H.m, dtype=bool),
         edge_count=0,
         deg=np.zeros(H.n, dtype=np.int64),
         deg_sq_sum=0,
