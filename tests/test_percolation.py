@@ -25,6 +25,7 @@ from hypertail.percolation import (
     codegree_sums,
     surviving_degrees,
     surviving_edge_mask,
+    surviving_pair_counts,
 )
 
 
@@ -40,6 +41,69 @@ def recount_deg_sq(H, kept):
             for v in edge:
                 deg[v] += 1
     return sum(d * d for d in deg)
+
+
+# --- one-round percolation -----------------------------------------------
+
+
+def percolate(H, q, stream, profile=None):
+    """Keep each vertex with probability q: the round-1 state of a one-round chain."""
+    schedule = build_schedule(q, H.n, eps_range=(1e-9, 1 - 1e-15), force_rounds=1)
+    return run_exposure(H, schedule, stream, profile)[1]
+
+
+def test_percolate_near_full_retention_keeps_everything():
+    H = subgraph_hypergraph(complete(3), 8)
+    state = percolate(H, 1 - 1e-15, TrialStream(3, 0))
+    assert state.edge_count == H.m
+    assert state.kept.all()
+
+
+def test_percolate_is_deterministic_per_trial():
+    H = disjoint_edges(20, 3)
+    a = percolate(H, 0.4, TrialStream(11, 5))
+    b = percolate(H, 0.4, TrialStream(11, 5))
+    assert np.array_equal(a.kept, b.kept)
+    assert a.edge_count == b.edge_count
+    c = percolate(H, 0.4, TrialStream(11, 6))
+    assert not np.array_equal(a.kept, c.kept)
+
+
+def test_percolate_consistency_invariants():
+    H = subgraph_hypergraph(complete(3), 9)
+    for trial in range(50):
+        state = percolate(H, 0.5, TrialStream(2, trial))
+        assert state.edge_count == recount_edges(H, state.kept)
+        assert int(state.deg.sum()) == H.k * state.edge_count
+        assert not state.deg[~state.kept].any()
+
+
+def test_percolate_rejects_bad_q():
+    H = disjoint_edges(2, 2)
+    for q in (0.0, 1.0, 2.0):
+        with pytest.raises(ValueError):
+            percolate(H, q, TrialStream(1, 0))
+
+
+def test_percolate_mean_tracks_binomial():
+    H = disjoint_edges(200, 3)
+    profile = degree_profile(H)
+    trials = 4000
+    xs = [percolate(H, 0.3, TrialStream(17, t), profile).edge_count for t in range(trials)]
+    sigma = math.sqrt(200 * 0.027 * 0.973)
+    assert abs(np.mean(xs) - 5.4) < 4 * sigma / math.sqrt(trials)
+
+
+def test_surviving_codegree_query():
+    H = subgraph_hypergraph(complete(3), 6)
+    state = percolate(H, 0.7, TrialStream(23, 1))
+    pairs = H.pair_index
+    counts = surviving_pair_counts(H, state.alive)
+    codeg = {(int(a), int(b)): int(c) for a, b, c in zip(pairs.u, pairs.v, counts)}
+    for u in range(0, H.n, 3):
+        for v in range(u + 1, min(u + 3, H.n)):
+            direct = sum(1 for e, edge in enumerate(H.edges) if state.alive[e] and u in edge and v in edge)
+            assert codeg.get((u, v), 0) == direct
 
 
 # --- schedules -----------------------------------------------------------
