@@ -69,8 +69,6 @@ class NicenessReport:
     p2: ConditionCheck
     p3: ConditionCheck
     p4_status: str  # "verified-empirically" | "assumed" | "failed"
-    p4_evidence: object | None
-    params: NicenessParams
 
     @property
     def analytic_ok(self) -> bool:
@@ -89,7 +87,6 @@ class MainBound:
     prob_bound_raw: float
     prob_bound: float
     vacuous: bool
-    params: NicenessParams
 
 
 @dataclass(frozen=True)
@@ -146,9 +143,7 @@ def check_nice(
         status = "assumed"
     else:
         status = "verified-empirically" if p4_evidence.supported else "failed"
-    return NicenessReport(
-        p1=p1, p2=p2, p3=p3, p4_status=status, p4_evidence=p4_evidence, params=params
-    )
+    return NicenessReport(p1=p1, p2=p2, p3=p3, p4_status=status)
 
 
 def main_bound(stats: HypergraphStats, params: NicenessParams) -> MainBound:
@@ -186,7 +181,6 @@ def main_bound(stats: HypergraphStats, params: NicenessParams) -> MainBound:
         prob_bound_raw=raw,
         prob_bound=min(1.0, max(0.0, raw)),
         vacuous=raw >= 1.0,
-        params=params,
     )
 
 

@@ -224,9 +224,7 @@ def _cmd_nice(args):
             supported=evidence.supported,
             grid=[{key: getattr(pt, key) for key in _NICE_GRID_KEYS} for pt in evidence.points],
         )
-    result = _result(
-        report, drop=("p4_status", "p4_evidence", "params"), p4=p4, analytic_ok=report.analytic_ok
-    )
+    result = _result(report, drop=("p4_status",), p4=p4, analytic_ok=report.analytic_ok)
     return _record("nice", record_params, result)
 
 
@@ -234,7 +232,7 @@ def _cmd_bound(args):
     H = hgr.read_hgr(args.infile)
     mb = bounds.main_bound(stats_of(H), _niceness_params(args))
     record_params = {"in": args.infile, **_niceness_echo(args)}
-    return _record("bound", record_params, _result(mb, drop=("params",)))
+    return _record("bound", record_params, asdict(mb))
 
 
 def _cmd_regime(args):
@@ -280,44 +278,12 @@ def _schedule_from_args(args, n: int) -> percolation.ExposureSchedule:
 
 def _cmd_expose(args):
     H = hgr.read_hgr(args.infile)
-    profile = degree_profile(H)
     schedule = _schedule_from_args(args, H.n)
     seed, auto = _resolve_seed(args)
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
-    rounds = schedule.rounds
-    sums_x = np.zeros(rounds + 1)
-    sums_x2 = np.zeros(rounds + 1)
-    sums_y = np.zeros(rounds + 1)
-    holds = np.zeros((rounds + 1, 4), dtype=np.int64)
-    trigger = [False] * (rounds + 1)
-    for t in range(args.trials):
-        states = percolation.run_exposure(
-            H, schedule, TrialStream(seed, t, montecarlo.LANE_EXPOSURE), profile
-        )
-        for state in states:
-            i = state.index
-            sums_x[i] += state.edge_count
-            sums_x2[i] += state.edge_count**2
-            sums_y[i] += state.deg_sq_sum
-            trigger[i] = state.codeg_trigger
-            report = percolation.check_preconditions(
-                H, state, schedule, args.lam, args.gamma, profile
-            )
-            holds[i] += np.array(report.holds, dtype=np.int64)
-    per_round = []
-    for i in range(rounds + 1):
-        mean_x = sums_x[i] / args.trials
-        per_round.append(
-            {
-                "round": i,
-                "mean_edge_count": mean_x,
-                "var_edge_count": sums_x2[i] / args.trials - mean_x**2,
-                "mean_deg_sq_sum": sums_y[i] / args.trials,
-                "codeg_trigger": trigger[i],
-                "holds_counts": holds[i].tolist(),
-            }
-        )
+    cfg = montecarlo.TrialConfig(master_seed=seed, trials=args.trials)
+    per_round, _ = montecarlo.run_exposure_campaign(
+        H, schedule, args.lam, args.gamma, cfg, montecarlo.LANE_EXPOSURE, degree_profile(H)
+    )
     params = {
         "in": args.infile,
         "p": args.p,
@@ -330,7 +296,7 @@ def _cmd_expose(args):
         "seed": seed,
         "seed_auto": auto,
     }
-    return _record("expose", params, {"per_round": per_round})
+    return _record("expose", params, {"per_round": [asdict(r) for r in per_round]})
 
 
 def _cmd_simulate(args):
@@ -364,7 +330,7 @@ def _cmd_simulate(args):
         )
         evidence = montecarlo.verify_p4(H, nice, grid, cfg)
         params.update(p4_grid=grid, **_niceness_echo(args, ("lambda", "gamma", "b", "bk")))
-        result = _result(evidence, drop=("q_grid", "params"))
+        result = asdict(evidence)
         result["grid"] = result.pop("points")
     elif args.task == "subgaussian":
         if not args.lambdas:
@@ -374,7 +340,7 @@ def _cmd_simulate(args):
             H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
         )
         params.update(lambdas=lambdas, variance_source=args.variance_source)
-        result = _result(fit, drop=("lambdas", "variance_source"))
+        result = _result(fit, drop=("lambdas",))
     elif args.task == "deg-moment":
         schedule = _schedule_from_args(args, H.n)
         if not 0 <= args.round <= schedule.rounds:
@@ -387,12 +353,12 @@ def _cmd_simulate(args):
             H, state, schedule, cfg, vertices=args.vertices, continuations=args.continuations
         )
         params.update(round=args.round, continuations=args.continuations)
-        result = _result(report, drop=("continuations",), holds=report.holds)
+        result = _result(report, holds=report.holds)
     elif args.task == "deg-square-sum":
         schedule = _schedule_from_args(args, H.n)
         report = montecarlo.check_degree_square_sum(H, schedule, args.lam, args.gamma, cfg)
         params.update(_niceness_echo(args, ("lambda", "gamma")))
-        result = _result(report, drop=("trials",), holds=report.holds)
+        result = _result(report, holds=report.holds)
     else:
         raise UsageError(f"unknown simulate task {args.task!r}")
     return _record("simulate", params, result)
@@ -569,8 +535,8 @@ def dispatch(argv=None, stdout=None, stderr=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-    except (BudgetError, InfeasibleError) as exc:
-        print(f"error: {exc}", file=stderr)
+    except (BudgetError, InfeasibleError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=stderr)
         return 2
     elapsed = time.perf_counter() - started
     print(f"# {args.command} finished in {elapsed:.3f}s", file=stderr)

@@ -148,7 +148,7 @@ def degree_profile(H: Hypergraph) -> DegreeProfile:
     The co-degree maximum scans only pairs that co-occur inside some edge;
     all other pairs have co-degree 0.
     """
-    deg = np.bincount(H.edges_arr.ravel(), minlength=H.n).astype(np.int64)
+    deg = np.bincount(H.edges_arr.ravel(), minlength=H.n)
     deg.setflags(write=False)
     codeg = np.bincount(H.pair_index.edge_pair_ids.ravel(), minlength=1)  # [0] without pairs
     return DegreeProfile(

@@ -95,8 +95,6 @@ class ExtensionCount:
     z_sets: int
     z_labeled: int
     z_subgraphs: int
-    induced: bool
-    sample: "GraphSample | None" = None
 
 
 def rooted_graph(vertex_count: int, root_count: int, edges) -> RootedGraph:
@@ -144,13 +142,13 @@ def build_rooted(spec: GraphSpec, root_count: int) -> RootedGraph:
     return RootedGraph(vertex_count=spec.v_g, root_count=root_count, edges=frozenset(edges))
 
 
-def is_balanced(rg: RootedGraph, budget: int = BALANCE_BUDGET) -> bool:
+def is_balanced(rg: RootedGraph) -> bool:
     """Whether no root-containing induced subgraph beats the full density.
 
-    Enumerates every nonempty subset of the non-root vertices; 2^s subsets,
-    guarded by a budget.
+    Enumerates every nonempty subset of the non-root vertices: 2^s subsets,
+    so s above ``BALANCE_BUDGET`` (20) raises :class:`BudgetError`.
     """
-    if rg.s > budget:
+    if rg.s > BALANCE_BUDGET:
         raise BudgetError(f"balancedness enumeration over 2^{rg.s} subsets exceeds budget")
     full = rg.density
     roots = range(rg.root_count)
@@ -222,8 +220,6 @@ def count_extensions(
         z_sets=z_sets,
         z_labeled=z_labeled,
         z_subgraphs=len(subgraphs),
-        induced=induced,
-        sample=sample,
     )
 
 
@@ -273,7 +269,6 @@ def z_identity_check(
     q: float,
     cfg: TrialConfig,
     conditioned_target: int | None = None,
-    lane: int = LANE_EXTENSION,
 ) -> ZIdentityReport:
     """Per-trial identity between the surviving degree of the root edge and
     the extension count from its endpoints.
@@ -301,7 +296,7 @@ def z_identity_check(
     for trial in range(samples):
         if target is not None and conditioned >= target:
             break
-        sample = sample_gnq(N, q, TrialStream(cfg.master_seed, trial, lane))
+        sample = sample_gnq(N, q, TrialStream(cfg.master_seed, trial, LANE_EXTENSION))
         if induced:
             z1 = count_extensions(rg, orientations[0], sample, induced=True).z_sets
         else:
@@ -366,7 +361,6 @@ def extension_cap_check(
     q: float,
     params: NicenessParams,
     cfg: TrialConfig,
-    lane: int = LANE_EXTENSION,
 ) -> ExtensionCapReport:
     """Monte Carlo check of the extension-count cap and of the two-root vs
     three-root comparison.
@@ -388,8 +382,7 @@ def extension_cap_check(
     induced = spec.family == "complete"
     z1_viol = z2_viol = z2_checked = 0
     for t in range(cfg.trials):
-        stream = TrialStream(cfg.master_seed, t, lane)
-        gen = stream.generator()
+        gen = TrialStream(cfg.master_seed, t, LANE_EXTENSION).generator()
         verts = gen.choice(N, size=3, replace=False)
         sample = GraphSample(N=N, kept=gen.random(comb(N, 2)) < q)
         z1 = count_extensions(

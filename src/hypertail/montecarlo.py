@@ -87,11 +87,9 @@ class P4GridPoint:
 
 @dataclass(frozen=True)
 class P4Evidence:
-    q_grid: tuple[float, ...]
     points: tuple[P4GridPoint, ...]
     threshold: float
     supported: bool
-    params: NicenessParams
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,6 @@ class SubGaussianFit:
     lambdas: tuple[float, ...]
     estimates: tuple[TailEstimate, ...]
     variance: float
-    variance_source: str
     variance_assumed: bool
     c_g: float | None
     c_g_candidates: tuple[float, ...]
@@ -122,7 +119,6 @@ class DegreeMomentReport:
     entries: tuple[DegreeMomentEntry, ...]
     epsilon: float
     eta: float
-    continuations: int
 
     @property
     def holds(self) -> bool:
@@ -143,11 +139,23 @@ class DegreeSquareSumEntry:
 @dataclass(frozen=True)
 class DegreeSquareSumReport:
     entries: tuple[DegreeSquareSumEntry, ...]
-    trials: int
 
     @property
     def holds(self) -> bool:
         return all(e.holds for e in self.entries)
+
+
+@dataclass(frozen=True)
+class ExposureRound:
+    """One round's means over an exposure campaign's trials; ``holds_counts[j]``
+    counts the trials in which condition j + 1 of :func:`check_preconditions` held."""
+
+    round: int
+    mean_edge_count: float
+    var_edge_count: float
+    mean_deg_sq_sum: float
+    codeg_trigger: bool
+    holds_counts: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -211,7 +219,6 @@ def estimate_tail(
     p: float,
     thresholds,
     cfg: TrialConfig,
-    lane: int = LANE_TAIL,
     samples: np.ndarray | None = None,
 ) -> list[TailEstimate]:
     """Estimate P(|X - p^k m| >= t) for each threshold t, with exact CIs."""
@@ -219,7 +226,7 @@ def estimate_tail(
     if not all(0 < t < math.inf for t in thresholds):
         raise ValueError("thresholds must be finite and positive")
     if samples is None:
-        samples = edge_count_samples(H, p, cfg, lane=lane)
+        samples = edge_count_samples(H, p, cfg)
     trials = len(samples)
     center = oracle.exact_expectation(H, p)
     deviations = np.abs(samples - center)
@@ -241,14 +248,10 @@ def estimate_tail(
     return estimates
 
 
-def geometric_q_grid(p: float, points: int = 8, q_max: float = 0.9) -> tuple[float, ...]:
-    """Geometric grid from p up to q_max used to sample the q quantifier."""
-    if points < 1:
-        raise ValueError("grid needs at least one point")
-    if points == 1:
-        return (p,)
-    ratio = (q_max / p) ** (1.0 / (points - 1))
-    return tuple(p * ratio**i for i in range(points))
+def geometric_q_grid(p: float) -> tuple[float, ...]:
+    """Geometric grid of 8 points from p up to 0.9 used to sample the q quantifier."""
+    ratio = (0.9 / p) ** (1.0 / 7)
+    return tuple(p * ratio**i for i in range(8))
 
 
 def verify_p4(
@@ -256,8 +259,6 @@ def verify_p4(
     params: NicenessParams,
     q_grid,
     cfg: TrialConfig,
-    lane: int = LANE_P4,
-    profile: DegreeProfile | None = None,
 ) -> P4Evidence:
     """Collect grid-based empirical evidence for the percolated degree cap and
     co-degree condition.
@@ -273,8 +274,7 @@ def verify_p4(
         raise ValueError("q grid must be nonempty")
     if any(not params.p <= q < 1.0 for q in q_grid):
         raise ValueError("q grid must lie in [p, 1)")
-    if profile is None:
-        profile = degree_profile(H)
+    profile = degree_profile(H)
     delta_max = profile.max_degree
     log_n = math.log(H.n)
     threshold = math.exp(-params.b * params.lam**2)
@@ -285,17 +285,17 @@ def verify_p4(
         deg_viol = codeg_viol = viol = 0
         max_deg_seen = max_codeg_seen = 0
         for t in range(cfg.trials):
-            stream = TrialStream(cfg.master_seed, qi * cfg.trials + t, lane)
+            stream = TrialStream(cfg.master_seed, qi * cfg.trials + t, LANE_P4)
             kept = stream.uniforms(H.n) < q
             alive = surviving_edge_mask(H, kept)
             deg = surviving_degrees(H, alive)
-            dmax = int(deg.max()) if H.n else 0
+            dmax = int(deg.max())
             max_deg_seen = max(max_deg_seen, dmax)
             bad_deg = dmax > cap
             bad_codeg = False
             if trigger:
                 counts = surviving_pair_counts(H, alive)
-                cmax = int(counts.max()) if counts.size else 0
+                cmax = int(counts.max(initial=0))
                 max_codeg_seen = max(max_codeg_seen, cmax)
                 if cmax:
                     min_pos = int(deg[deg > 0].min())
@@ -322,11 +322,9 @@ def verify_p4(
             )
         )
     return P4Evidence(
-        q_grid=q_grid,
         points=tuple(points),
         threshold=threshold,
         supported=all(pt.supported for pt in points),
-        params=params,
     )
 
 
@@ -336,7 +334,6 @@ def fit_subgaussian(
     lambda_grid,
     variance_source: str,
     cfg: TrialConfig,
-    lane: int = LANE_SUBGAUSSIAN,
     pair_budget: int | None = None,
 ) -> SubGaussianFit:
     """Fit the largest constant c such that the estimated tails at lambda
@@ -363,7 +360,7 @@ def fit_subgaussian(
     if variance <= 0:
         raise ValueError("variance is not positive; tails are degenerate")
     scale = math.sqrt(variance)
-    samples = edge_count_samples(H, p, cfg, lane=lane)
+    samples = edge_count_samples(H, p, cfg, lane=LANE_SUBGAUSSIAN)
     estimates = tuple(
         estimate_tail(H, p, [l * scale for l in lambdas], cfg, samples=samples)
     )
@@ -381,7 +378,6 @@ def fit_subgaussian(
         lambdas=lambdas,
         estimates=estimates,
         variance=variance,
-        variance_source=variance_source,
         variance_assumed=assumed,
         c_g=c_g,
         c_g_candidates=tuple(candidates),
@@ -397,7 +393,6 @@ def check_degree_moment(
     cfg: TrialConfig,
     vertices=None,
     continuations: int = 10_000,
-    lane: int = LANE_DEGREE_MOMENT,
 ) -> DegreeMomentReport:
     """Conditional Monte Carlo check of the next-round degree second moment.
 
@@ -409,11 +404,11 @@ def check_degree_moment(
     eps = schedule.epsilon
     survivors = np.flatnonzero(state.kept)
     if survivors.size == 0:
-        return DegreeMomentReport(entries=(), epsilon=eps, eta=state.eta, continuations=continuations)
+        return DegreeMomentReport(entries=(), epsilon=eps, eta=state.eta)
     if vertices is None:
         vertices = survivors.tolist()
     elif isinstance(vertices, int):
-        picker = TrialStream(cfg.master_seed, 0, lane).generator()
+        picker = TrialStream(cfg.master_seed, 0, LANE_DEGREE_MOMENT).generator()
         size = min(vertices, survivors.size)
         vertices = sorted(picker.choice(survivors, size=size, replace=False).tolist())
     entries = []
@@ -424,7 +419,8 @@ def check_degree_moment(
         others = sorted({u for e in live_edges for u in H.edges[e] if u != v})
         pos = {u: j + 1 for j, u in enumerate(others)}  # v sits at column 0
         relevant = 1 + len(others)
-        u = TrialStream(cfg.master_seed, s_idx + 1, lane).uniform_matrix(continuations, relevant)
+        stream = TrialStream(cfg.master_seed, s_idx + 1, LANE_DEGREE_MOMENT)
+        u = stream.uniform_matrix(continuations, relevant)
         kept_next = u < eps
         if live_edges:
             cols = np.array(
@@ -448,9 +444,53 @@ def check_degree_moment(
                 holds=estimate <= bound + 3 * stderr,
             )
         )
-    return DegreeMomentReport(
-        entries=tuple(entries), epsilon=eps, eta=state.eta, continuations=continuations
+    return DegreeMomentReport(entries=tuple(entries), epsilon=eps, eta=state.eta)
+
+
+def run_exposure_campaign(
+    H: Hypergraph,
+    schedule: ExposureSchedule,
+    lam: float,
+    gamma_cap: float,
+    cfg: TrialConfig,
+    lane: int,
+    profile: DegreeProfile,
+) -> tuple[tuple[ExposureRound, ...], list[list[int]]]:
+    """Run ``cfg.trials`` exposure chains and check every round's conditions once.
+
+    Returns the per-round aggregates for rounds 0..I and, for each round
+    i < I, the bucket of next-round degree-square sums
+    ``states[i + 1].deg_sq_sum`` from the trials in which all four conditions
+    of :func:`check_preconditions` held at round i.  Sums accumulate in
+    float64 in trial order.
+    """
+    rounds = schedule.rounds
+    sums = np.zeros((rounds + 1, 3))  # edge count, its square, degree-square sum
+    holds = np.zeros((rounds + 1, 4), dtype=np.int64)
+    buckets: list[list[int]] = [[] for _ in range(rounds)]
+    for t in range(cfg.trials):
+        states = run_exposure(H, schedule, TrialStream(cfg.master_seed, t, lane), profile)
+        for state in states:
+            i = state.index
+            sums[i] += (state.edge_count, state.edge_count**2, state.deg_sq_sum)
+            report = check_preconditions(H, state, schedule, lam, gamma_cap, profile)
+            holds[i] += report.holds
+            if i < rounds and report.all_hold:
+                buckets[i].append(states[i + 1].deg_sq_sum)
+    means = sums / cfg.trials
+    # codeg_trigger depends on the round, not the trial, so the last trial's states give it
+    per_round = tuple(
+        ExposureRound(
+            round=state.index,
+            mean_edge_count=float(mean_x),
+            var_edge_count=float(mean_x2 - mean_x**2),
+            mean_deg_sq_sum=float(mean_y),
+            codeg_trigger=state.codeg_trigger,
+            holds_counts=tuple(holds[state.index].tolist()),
+        )
+        for state, (mean_x, mean_x2, mean_y) in zip(states, means)
     )
+    return per_round, buckets
 
 
 def check_degree_square_sum(
@@ -459,36 +499,28 @@ def check_degree_square_sum(
     lam: float,
     gamma_cap: float,
     cfg: TrialConfig,
-    lane: int = LANE_DEG_SQ_SUM,
-    profile: DegreeProfile | None = None,
 ) -> DegreeSquareSumReport:
     """Compare per-round means of the degree-square sum against its bound.
 
-    Round transitions are conditioned on the four per-round conditions
-    holding before the step, matching the setting in which the bound is
-    asserted.
+    Runs :func:`run_exposure_campaign` on the ``LANE_DEG_SQ_SUM`` lane.  The
+    entry for round i averages the round-(i+1) degree-square sums of the
+    trials in which all four conditions held at round i, matching the setting
+    in which the bound is asserted; a round with no such trial has no entry.
     """
-    if profile is None:
-        profile = degree_profile(H)
+    profile = degree_profile(H)
+    _, buckets = run_exposure_campaign(H, schedule, lam, gamma_cap, cfg, LANE_DEG_SQ_SUM, profile)
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
     delta_max = profile.max_degree
     log_n = math.log(n)
-    buckets: dict[int, list[int]] = {i: [] for i in range(schedule.rounds)}
-    for t in range(cfg.trials):
-        states = run_exposure(H, schedule, TrialStream(cfg.master_seed, t, lane), profile)
-        for i in range(schedule.rounds):
-            report = check_preconditions(H, states[i], schedule, lam, gamma_cap, profile)
-            if report.all_hold:
-                buckets[i].append(states[i + 1].deg_sq_sum)
     entries = []
-    for i in range(schedule.rounds):
-        ys = np.array(buckets[i], dtype=np.float64)
+    for i, bucket in enumerate(buckets):
+        if not bucket:
+            continue
+        ys = np.array(bucket, dtype=np.float64)
         bound = eps ** ((2 * k - 1) * (i + 1)) * delta_max**2 * n * (
             1 + (3 * i + 2) * log_n**-2
         ) + 5 * k * eps ** ((k + 0.5) * (i + 1)) * m / math.sqrt(p)
-        if ys.size == 0:
-            continue
         mean = float(ys.mean())
         stderr = float(ys.std(ddof=1) / math.sqrt(ys.size)) if ys.size > 1 else 0.0
         entries.append(
@@ -502,14 +534,14 @@ def check_degree_square_sum(
                 holds=mean <= bound + 3 * stderr,
             )
         )
-    return DegreeSquareSumReport(entries=tuple(entries), trials=cfg.trials)
+    return DegreeSquareSumReport(entries=tuple(entries))
 
 
-def chi_square_two_sample(xs, ys, min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square_two_sample(xs, ys) -> ChiSquareResult:
     """Two-sample chi-square test that xs and ys follow the same law.
 
     Values are binned jointly; adjacent values are pooled until every cell's
-    expected count reaches ``min_expected``.
+    expected count reaches 5, the usual validity rule for the test.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
@@ -518,7 +550,7 @@ def chi_square_two_sample(xs, ys, min_expected: float = 5.0) -> ChiSquareResult:
     width = int(max(xs.max(), ys.max())) + 1
     a = np.bincount(xs, minlength=width)
     b = np.bincount(ys, minlength=width)
-    need = min_expected * (xs.size + ys.size) / min(xs.size, ys.size)
+    need = 5.0 * (xs.size + ys.size) / min(xs.size, ys.size)
     bins_a, bins_b = [], []
     acc_a = acc_b = 0
     for v in range(width):

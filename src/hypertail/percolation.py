@@ -79,24 +79,18 @@ class PreconditionReport:
 
 def surviving_edge_mask(H: Hypergraph, kept: np.ndarray) -> np.ndarray:
     """Boolean mask over edges: True where all k vertices survive."""
-    if H.m == 0:
-        return np.zeros(0, dtype=bool)
     return kept[H.edges_arr].all(axis=1)
 
 
 def surviving_degrees(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
     """Per-vertex degree counting only the edges flagged in ``alive``."""
-    if H.m == 0 or not alive.any():
-        return np.zeros(H.n, dtype=np.int64)
-    return np.bincount(H.edges_arr[alive].ravel(), minlength=H.n).astype(np.int64)
+    return np.bincount(H.edges_arr[alive].ravel(), minlength=H.n)
 
 
 def surviving_pair_counts(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
     """Co-degree of every co-occurring pair, restricted to surviving edges."""
     pairs = H.pair_index
-    if pairs.count == 0 or not alive.any():
-        return np.zeros(pairs.count, dtype=np.int64)
-    return np.bincount(pairs.edge_pair_ids[alive].ravel(), minlength=pairs.count).astype(np.int64)
+    return np.bincount(pairs.edge_pair_ids[alive].ravel(), minlength=pairs.count)
 
 
 def codegree_sums(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
@@ -177,7 +171,7 @@ def _round_state(
         alive=alive,
         edge_count=int(alive.sum()),
         deg=deg,
-        deg_sq_sum=int((deg.astype(np.int64) ** 2).sum()),
+        deg_sq_sum=int((deg**2).sum()),
         codeg_trigger=trigger,
         eta=eta,
     )
@@ -234,8 +228,8 @@ def check_preconditions(
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
     delta_max = profile.max_degree
-    if m == 0:
-        raise InfeasibleError("the round conditions divide by p^k m, which is 0 without edges")
+    if p**k * m == 0:  # no edges, or p^k underflows
+        raise InfeasibleError(f"the round conditions divide by p^k m, which is 0 at m={m}, p={p}")
     log_n = math.log(n)
 
     center = eps ** (k * i) * m

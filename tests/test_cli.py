@@ -1,11 +1,18 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypertail import complete, disjoint_edges, subgraph_hypergraph
+import hypertail
+from hypertail import Hypergraph, complete, disjoint_edges, subgraph_hypergraph
 from hypertail.cli import dispatch
 from hypertail.hgr import HgrFormatError, dumps, loads, read_hgr, write_hgr
 
@@ -497,3 +504,66 @@ def test_record_is_replayable_from_its_own_params(tmp_path):
     _, replay, _ = run(argv)
     counts = lambda text: [e["exceed_count"] for e in json.loads(text)["result"]["estimates"]]
     assert counts(replay) == counts(out)
+
+
+def test_allocation_failure_is_one_error_line(tmp_path):
+    # header n sizes an n-long degree array: 8 GB, past a 2 GiB address-space limit
+    path = tmp_path / "big.hgr"
+    path.write_text("1 1000000000 1\n999999999\n")
+    limit = 2 << 30
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypertail", "stats", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(hypertail.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@st.composite
+def tiny_hgr_text(draw):
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    subsets = list(combinations(range(n), k))
+    edges = draw(st.lists(st.sampled_from(subsets), max_size=6, unique=True)) if subsets else []
+    return dumps(Hypergraph(n, k, edges))
+
+
+@st.composite
+def exposure_argv(draw):
+    argv = draw(st.sampled_from([["expose"], ["simulate", "--task", "deg-square-sum"]]))
+    number = st.one_of(
+        st.sampled_from([0.0, 1.0, -0.5, 1e-300, 1e-4, 0.1, 0.125, 0.5]), st.floats(1e-12, 0.99)
+    )
+    argv += ["--p", repr(draw(number)), "--seed", "3"]
+    argv += ["--trials", str(draw(st.integers(-1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--eps-range", f"{draw(number)!r},{draw(number)!r}"]
+    if draw(st.booleans()):
+        argv += ["--force-rounds", str(draw(st.integers(1, 4)))]
+    for flag in ("--lambda", "--gamma"):
+        argv += [flag, repr(draw(st.one_of(st.sampled_from([0.0, -1.0]), st.floats(-3, 3))))]
+    return argv
+
+
+@given(tiny_hgr_text(), exposure_argv())
+@example(  # p^k underflows to 0, and the round conditions divide by p^k m
+    text="2 2 1\n0 1\n",
+    argv=["expose", "--p", "1e-300", "--seed", "3", "--trials", "1",
+          "--lambda", "0.0", "--gamma", "0.0"],
+)
+@settings(max_examples=300, deadline=None)
+def test_exposure_commands_exit_cleanly(tmp_path_factory, text, argv):
+    """An exception escaping dispatch here is a traceback from the command line."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.hgr"
+    path.write_text(text)
+    argv = argv + ["--in", str(path)]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert run(argv)[1] == out

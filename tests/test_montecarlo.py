@@ -179,7 +179,7 @@ def test_p4_rejects_bad_grid():
 
 
 def test_geometric_grid_spans_range():
-    grid = geometric_q_grid(0.01, points=8, q_max=0.9)
+    grid = geometric_q_grid(0.01)
     assert len(grid) == 8
     assert grid[0] == pytest.approx(0.01)
     assert grid[-1] == pytest.approx(0.9)
