@@ -224,6 +224,8 @@ def regime(spec: GraphSpec, N: int, c1: float) -> RegimeParams:
         raise ValueError(f"pattern must have at least 3 edges, got {spec.e_g}")
     if c1 <= 0:
         raise ValueError("c1 must be positive")
+    if N < spec.v_g:
+        raise InfeasibleError(f"N={N} is smaller than the pattern's {spec.v_g} vertices")
     v_g, e_g = spec.v_g, spec.e_g
     rho1 = v_g / e_g
     rho2 = (v_g - 2) / (e_g - 1)

@@ -208,7 +208,9 @@ def _cmd_nice(args):
     params = _niceness_params(args)
     evidence = None
     record_params = {"in": args.infile, **_niceness_echo(args)}
-    if args.p4_grid:
+    if args.p4_grid is None:  # the stochastic flags drive the P4 grid only
+        _parse_only(args, ("--in",) + NICENESS)
+    else:
         seed, auto = _resolve_seed(args)
         cfg = _trial_config(args, seed)
         grid = _floats(args.p4_grid)
@@ -299,10 +301,61 @@ def _cmd_expose(args):
     return _record("expose", params, {"per_round": [asdict(r) for r in per_round]})
 
 
+def _simulate_tail(args, H, cfg, params):
+    thresholds = _floats(args.thresholds)
+    estimates = montecarlo.estimate_tail(H, args.p, thresholds, cfg)
+    params["thresholds"] = thresholds
+    return {
+        "center": oracle.exact_expectation(H, args.p),
+        "estimates": [asdict(est) for est in estimates],
+    }
+
+
+def _simulate_p4(args, H, cfg, params):
+    nice = _niceness_params(args)
+    grid = _floats(args.p4_grid) if args.p4_grid else list(montecarlo.geometric_q_grid(args.p))
+    evidence = montecarlo.verify_p4(H, nice, grid, cfg)
+    params.update(p4_grid=grid, **_niceness_echo(args, ("lambda", "gamma", "b", "bk")))
+    result = asdict(evidence)
+    result["grid"] = result.pop("points")
+    return result
+
+
+def _simulate_subgaussian(args, H, cfg, params):
+    lambdas = _floats(args.lambdas)
+    fit = montecarlo.fit_subgaussian(
+        H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
+    )
+    params.update(lambdas=lambdas, variance_source=args.variance_source)
+    return _result(fit, drop=("lambdas",))
+
+
+def _simulate_deg_moment(args, H, cfg, params):
+    schedule = _schedule_from_args(args, H.n)
+    if not 0 <= args.round <= schedule.rounds:
+        raise UsageError(f"--round must lie in [0, {schedule.rounds}]")
+    stream = TrialStream(cfg.master_seed, 0, montecarlo.LANE_EXPOSURE)
+    state = percolation.run_exposure(H, schedule, stream)[args.round]
+    report = montecarlo.check_degree_moment(
+        H, state, schedule, cfg, vertices=args.vertices, continuations=args.continuations
+    )
+    params.update(round=args.round, continuations=args.continuations)
+    return _result(report, holds=report.holds)
+
+
+def _simulate_deg_square_sum(args, H, cfg, params):
+    schedule = _schedule_from_args(args, H.n)
+    report = montecarlo.check_degree_square_sum(H, schedule, args.lam, args.gamma, cfg)
+    params.update(_niceness_echo(args, ("lambda", "gamma")))
+    return _result(report, holds=report.holds)
+
+
 def _cmd_simulate(args):
-    H = hgr.read_hgr(args.infile)
+    if args.task not in TASKS:
+        raise UsageError(f"unknown simulate task {args.task!r}")
+    handler, flags, required = TASKS[args.task]
     seed, auto = _resolve_seed(args)
-    cfg = _trial_config(args, seed)
+    _parse_only(args, SIMULATE + flags, required)
     params = {
         "in": args.infile,
         "task": args.task,
@@ -313,54 +366,7 @@ def _cmd_simulate(args):
         "seed": seed,
         "seed_auto": auto,
     }
-    if args.task == "tail":
-        if not args.thresholds:
-            raise UsageError("--task tail requires --thresholds")
-        thresholds = _floats(args.thresholds)
-        estimates = montecarlo.estimate_tail(H, args.p, thresholds, cfg)
-        result = {
-            "center": oracle.exact_expectation(H, args.p),
-            "estimates": [asdict(est) for est in estimates],
-        }
-        params["thresholds"] = thresholds
-    elif args.task == "p4":
-        nice = _niceness_params(args)
-        grid = _floats(args.p4_grid) if args.p4_grid else list(
-            montecarlo.geometric_q_grid(args.p)
-        )
-        evidence = montecarlo.verify_p4(H, nice, grid, cfg)
-        params.update(p4_grid=grid, **_niceness_echo(args, ("lambda", "gamma", "b", "bk")))
-        result = asdict(evidence)
-        result["grid"] = result.pop("points")
-    elif args.task == "subgaussian":
-        if not args.lambdas:
-            raise UsageError("--task subgaussian requires --lambdas")
-        lambdas = _floats(args.lambdas)
-        fit = montecarlo.fit_subgaussian(
-            H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
-        )
-        params.update(lambdas=lambdas, variance_source=args.variance_source)
-        result = _result(fit, drop=("lambdas",))
-    elif args.task == "deg-moment":
-        schedule = _schedule_from_args(args, H.n)
-        if not 0 <= args.round <= schedule.rounds:
-            raise UsageError(f"--round must lie in [0, {schedule.rounds}]")
-        states = percolation.run_exposure(
-            H, schedule, TrialStream(seed, 0, montecarlo.LANE_EXPOSURE)
-        )
-        state = states[args.round]
-        report = montecarlo.check_degree_moment(
-            H, state, schedule, cfg, vertices=args.vertices, continuations=args.continuations
-        )
-        params.update(round=args.round, continuations=args.continuations)
-        result = _result(report, holds=report.holds)
-    elif args.task == "deg-square-sum":
-        schedule = _schedule_from_args(args, H.n)
-        report = montecarlo.check_degree_square_sum(H, schedule, args.lam, args.gamma, cfg)
-        params.update(_niceness_echo(args, ("lambda", "gamma")))
-        result = _result(report, holds=report.holds)
-    else:
-        raise UsageError(f"unknown simulate task {args.task!r}")
+    result = handler(args, hgr.read_hgr(args.infile), _trial_config(args, seed), params)
     return _record("simulate", params, result)
 
 
@@ -467,6 +473,24 @@ PATTERN = ("--family", "--r", "--a", "--b-side", "--N")
 NICENESS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
 SCHEDULE = ("--eps-range", "--strict", "--force-rounds")
 
+# Every simulate task takes SIMULATE, and its record echoes them.  A task's row
+# is (handler, flags besides COMMON and SIMULATE, flags it requires); the
+# handler adds its own keys to the record's params and returns its result.
+SIMULATE = ("--in", "--task", "--p") + STOCHASTIC
+TASKS = {
+    "tail": (_simulate_tail, ("--thresholds",), ("--thresholds",)),
+    "p4": (_simulate_p4, ("--p4-grid", "--lambda", "--gamma", "--b", "--bk", "--n0"), ()),
+    "subgaussian": (
+        _simulate_subgaussian, ("--lambdas", "--variance-source", "--budget"), ("--lambdas",)
+    ),
+    "deg-moment": (
+        _simulate_deg_moment, SCHEDULE + ("--round", "--vertices", "--continuations"), ()
+    ),
+    "deg-square-sum": (_simulate_deg_square_sum, SCHEDULE + ("--lambda", "--gamma"), ()),
+}
+# simulate parses every task's flags first; _cmd_simulate rejects those its task does not take
+TASK_FLAGS = tuple(dict.fromkeys(flag for row in TASKS.values() for flag in row[1]))
+
 # subcommand: (handler, flags besides COMMON, flags it requires)
 COMMANDS = {
     "gen": (_cmd_gen, ("--budget", "--seed") + PATTERN + ("--n", "--m", "--k"), ()),
@@ -479,16 +503,7 @@ COMMANDS = {
     "bound": (_cmd_bound, ("--in",) + NICENESS, ("--p", "--lambda", "--gamma", "--b")),
     "regime": (_cmd_regime, PATTERN + ("--c1",), ()),
     "oracle": (_cmd_oracle, ("--budget", "--in", "--p", "--dist"), ("--p",)),
-    "simulate": (
-        _cmd_simulate,
-        ("--budget",)
-        + STOCHASTIC
-        + ("--in", "--task", "--thresholds", "--lambdas", "--variance-source", "--p4-grid")
-        + NICENESS
-        + SCHEDULE
-        + ("--round", "--vertices", "--continuations"),
-        ("--p",),
-    ),
+    "simulate": (_cmd_simulate, SIMULATE + TASK_FLAGS, ("--p",)),
     "expose": (
         _cmd_expose,
         ("--seed", "--trials", "--in", "--p") + SCHEDULE + ("--lambda", "--gamma"),
@@ -503,15 +518,24 @@ COMMANDS = {
 }
 
 
+def _add_flags(parser: _Parser, flags, required) -> _Parser:
+    parser.allow_abbrev = False  # else a parser with --lambdas alone reads --lambda as it
+    for flag in COMMON + flags:
+        options = dict(FLAGS[flag], required=True) if flag in required else FLAGS[flag]
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def _parse_only(args, flags, required=()) -> None:
+    """Parse the command's argv again with only ``flags``; any other is a usage error."""
+    _add_flags(_Parser(), flags, required).parse_args(args.argv[1:])
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hypertail")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, flags, required) in COMMANDS.items():
-        p = sub.add_parser(name)
-        for flag in COMMON + flags:
-            options = dict(FLAGS[flag], required=True) if flag in required else FLAGS[flag]
-            p.add_argument(flag, **options)
-        p.set_defaults(handler=handler)
+        _add_flags(sub.add_parser(name), flags, required).set_defaults(handler=handler)
     return parser
 
 
@@ -519,10 +543,11 @@ def dispatch(argv=None, stdout=None, stderr=None) -> int:
     """Parse argv, run the subcommand, emit its record; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(argv=argv))
         _apply_config(args, _load_config(args.config))
         output = args.handler(args)
         if isinstance(output, dict):
@@ -535,7 +560,7 @@ def dispatch(argv=None, stdout=None, stderr=None) -> int:
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
-    except (BudgetError, InfeasibleError, MemoryError) as exc:
+    except (BudgetError, InfeasibleError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=stderr)
         return 2
     elapsed = time.perf_counter() - started

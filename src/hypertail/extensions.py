@@ -239,6 +239,8 @@ def expected_extensions(spec: GraphSpec, root_count: int, N: int, q: float) -> f
     the same non-root set can extend through several side splits, which are
     disjoint events.
     """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"retention probability must lie in (0, 1), got {q}")
     rg = build_rooted(spec, root_count)
     s, t = rg.s, rg.t
     if spec.family == "complete":

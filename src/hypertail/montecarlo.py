@@ -464,6 +464,9 @@ def run_exposure_campaign(
     of :func:`check_preconditions` held at round i.  Sums accumulate in
     float64 in trial order.
     """
+    for name, value in (("lam", lam), ("gamma_cap", gamma_cap)):
+        if value <= 0:  # as NicenessParams requires
+            raise ValueError(f"{name} must be positive")
     rounds = schedule.rounds
     sums = np.zeros((rounds + 1, 3))  # edge count, its square, degree-square sum
     holds = np.zeros((rounds + 1, 4), dtype=np.int64)

@@ -120,12 +120,12 @@ def build_schedule(
     The round count maximises I subject to epsilon <= eps_max, i.e.
     I = max(1, floor(ln p / ln eps_max)); ratios within 1e-9 of an integer
     are snapped so that exact powers are recognised.  ``force_rounds``
-    overrides I.  In strict mode the range is pinned to [1e-6, 1e-3] and
-    I <= ln n is enforced.
+    overrides I.  The range defaults to [1e-6, 1e-3]; strict mode pins it
+    there, so it takes no ``eps_range``, and enforces I <= ln n.
     """
-    if strict_mode:
-        eps_range = STRICT_EPS_RANGE
-    elif eps_range is None:
+    if strict_mode and eps_range is not None:
+        raise ValueError(f"strict mode pins the retention range to {STRICT_EPS_RANGE}; give none")
+    if eps_range is None:
         eps_range = STRICT_EPS_RANGE
     eps_min, eps_max = eps_range
     if not 0.0 < eps_min <= eps_max < 1.0:

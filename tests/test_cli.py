@@ -354,9 +354,24 @@ NO_EFFECT_ARGV = {
                "--trials", "2", "--seed", "1"],
     "ext": ["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10",
             "--q", "0.5"],
+    "expose-strict": ["expose", "--in", "d.hgr", "--p", "0.001", "--strict",
+                      "--trials", "2", "--seed", "1"],
+    **{f"simulate-{task}": ["simulate", "--in", "d.hgr", "--p", "0.125", "--task", task,
+                            "--trials", "2", "--seed", "1", *extra]
+       for task, extra in [
+           ("tail", ["--thresholds", "1"]),
+           ("p4", ["--p4-grid", "0.2"]),
+           ("subgaussian", ["--lambdas", "1"]),
+           ("deg-moment", ["--eps-range", "0.1,0.5", "--vertices", "2", "--continuations", "5"]),
+           ("deg-square-sum", ["--eps-range", "0.1,0.5"]),
+       ]},
 }
 NO_EFFECT_VALUES = {"--trials": "5", "--workers": "2", "--significance": "0.05",
-                    "--budget": "100000"}
+                    "--budget": "100000", "--seed": "1", "--eps-range": "0.1,0.5",
+                    "--thresholds": "1", "--p4-grid": "0.2", "--lambda": "1", "--gamma": "1",
+                    "--b": "1", "--bk": "0.01", "--n0": "10", "--lambdas": "1",
+                    "--variance-source": "plugin", "--round": "0", "--vertices": "2",
+                    "--continuations": "5"}
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -364,6 +379,20 @@ NO_EFFECT_VALUES = {"--trials": "5", "--workers": "2", "--significance": "0.05",
     *[("expose", flag) for flag in ("--workers", "--significance")],
     *[(command, "--budget")
       for command in ("stats", "nice", "bound", "regime", "mcdiarmid", "expose", "ext")],
+    # one flag from each other task's row, and --n0, which only p4 reads
+    *[("simulate-tail", flag)
+      for flag in ("--p4-grid", "--lambdas", "--round", "--lambda", "--n0")],
+    *[("simulate-p4", flag)
+      for flag in ("--thresholds", "--budget", "--continuations", "--eps-range")],
+    *[("simulate-subgaussian", flag)
+      for flag in ("--thresholds", "--b", "--vertices", "--lambda", "--n0")],
+    *[("simulate-deg-moment", flag)
+      for flag in ("--thresholds", "--bk", "--variance-source", "--gamma", "--n0")],
+    *[("simulate-deg-square-sum", flag)
+      for flag in ("--thresholds", "--p4-grid", "--budget", "--round", "--n0")],
+    # the stochastic flags drive nice's P4 grid only; strict mode pins the retention range
+    *[("nice", flag) for flag in ("--seed", "--trials", "--workers", "--significance")],
+    ("expose-strict", "--eps-range"),
 ])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, command, flag):
     monkeypatch.chdir(tmp_path)
@@ -371,6 +400,40 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, comma
     assert run(NO_EFFECT_ARGV[command])[0] == 0
     code, out, err = run(NO_EFFECT_ARGV[command] + [flag, NO_EFFECT_VALUES[flag]])
     assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+K3_N5 = ["--in", "k3.hgr"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # a float range overflows or underflows into a division by zero
+    (["bound", *K3_N5, "--p", "1e-300", "--lambda", "1", "--gamma", "1", "--b", "1"], 2),
+    (["regime", "--family", "complete", "--r", "3", "--N", "0", "--c1", "0.05"], 2),
+    (["regime", "--family", "complete", "--r", "3", "--N", "10", "--c1", "1e308"], 2),
+    (["simulate", "--task", "subgaussian", *K3_N5, "--p", "0.3", "--lambdas", "1e-300",
+      "--trials", "10", "--seed", "1"], 2),
+    (["simulate", "--task", "subgaussian", *K3_N5, "--p", "0.3", "--lambdas", "1e300",
+      "--trials", "10", "--seed", "1"], 2),
+    # a parameter outside its domain
+    (["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10",
+      "--q", "1.5"], 1),
+    (["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10",
+      "--q", "-0.5"], 1),
+    (["expose", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5", "--trials", "2",
+      "--seed", "1", "--lambda", "-1.0"], 1),
+    (["expose", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5", "--trials", "2",
+      "--seed", "1", "--lambda", "-2.5e-05"], 1),
+    (["simulate", "--task", "deg-square-sum", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5",
+      "--trials", "2", "--seed", "1", "--gamma", "0"], 1),
+], ids=["bound-tiny-p", "regime-N0", "regime-huge-c1", "subgaussian-tiny-lambda",
+        "subgaussian-huge-lambda", "expected-q-above-1", "expected-q-negative",
+        "expose-negative-lambda", "expose-negative-exponent-lambda", "deg-square-sum-zero-gamma"])
+def test_out_of_range_inputs_are_one_error_line(tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(subgraph_hypergraph(complete(3), 5), tmp_path / "k3.hgr")
+    code, out, err = run(argv)
+    assert (code, out) == (expected, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
@@ -555,12 +618,100 @@ def exposure_argv(draw):
     argv=["expose", "--p", "1e-300", "--seed", "3", "--trials", "1",
           "--lambda", "0.0", "--gamma", "0.0"],
 )
+@example(  # the same with lambda and gamma in their domain, so the p^k m guard is reached
+    text="2 2 1\n0 1\n",
+    argv=["expose", "--p", "1e-300", "--seed", "3", "--trials", "1",
+          "--lambda", "1.0", "--gamma", "1.0"],
+)
 @settings(max_examples=300, deadline=None)
 def test_exposure_commands_exit_cleanly(tmp_path_factory, text, argv):
     """An exception escaping dispatch here is a traceback from the command line."""
     path = tmp_path_factory.getbasetemp() / "fuzz.hgr"
     path.write_text(text)
     argv = argv + ["--in", str(path)]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert run(argv)[1] == out
+
+
+@st.composite
+def command_argv(draw):
+    """Argv for bound, nice, regime, oracle and every simulate task; "{in}" names the HGR file."""
+    edge = st.sampled_from([0.0, 1.0, -0.5, 1e-300, 1e300])
+    prob = st.one_of(st.floats(1e-4, 0.99), edge)
+    positive = st.one_of(st.floats(0.01, 10), edge)
+    count = st.one_of(st.integers(-1, 3), st.integers(1, 3))
+
+    def listed(number):
+        return st.lists(number, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
+
+    command = draw(st.sampled_from(
+        ["bound", "nice", "regime", "oracle", "tail", "p4", "subgaussian", "deg-moment",
+         "deg-square-sum"]
+    ))
+    if command == "regime":
+        flags = {"--family": draw(st.sampled_from(["complete", "complete-bipartite"])),
+                 "--N": draw(st.integers(-2, 12)), "--c1": draw(positive)}
+        if flags["--family"] == "complete":
+            flags["--r"] = draw(st.integers(-1, 5))
+        else:
+            flags.update({"--a": draw(st.integers(0, 3)), "--b-side": draw(st.integers(0, 3))})
+        return ["regime", *(str(a) for item in flags.items() for a in item)]
+    argv = [command] if command in ("bound", "nice", "oracle") else ["simulate", "--task", command]
+    flags = {"--in": "{in}", "--p": draw(prob)}
+    if command in ("bound", "nice", "p4", "deg-square-sum"):
+        flags.update({"--lambda": draw(positive), "--gamma": draw(positive)})
+    if command in ("bound", "nice", "p4"):
+        flags["--b"] = draw(positive)
+        if draw(st.booleans()):
+            flags.update({"--bk": draw(positive), "--n0": draw(st.integers(-1, 20))})
+    if command == "oracle" and draw(st.booleans()):
+        flags["--budget"] = draw(st.integers(-1, 300))
+    if command not in ("bound", "oracle") and (command != "nice" or draw(st.booleans())):
+        flags.update({"--seed": "3", "--trials": draw(count)})
+        if command == "nice" or command == "p4" and draw(st.booleans()):
+            flags["--p4-grid"] = draw(listed(prob))
+    if command == "tail":
+        flags["--thresholds"] = draw(listed(positive))
+    if command == "subgaussian":
+        flags["--lambdas"] = draw(listed(positive))
+        flags["--variance-source"] = draw(st.sampled_from(["exact", "plugin", "none"]))
+    if command in ("deg-moment", "deg-square-sum"):
+        if draw(st.booleans()):
+            flags["--eps-range"] = draw(st.one_of(st.just("0.01,0.9"), listed(prob)))
+        if draw(st.booleans()):
+            flags["--force-rounds"] = draw(count)
+    if command == "deg-moment":
+        flags.update({"--round": draw(count), "--vertices": draw(count),
+                      "--continuations": draw(st.integers(0, 20))})
+    argv += [str(a) for item in flags.items() for a in item]
+    if command == "oracle" and draw(st.booleans()):
+        argv.append("--dist")
+    return argv
+
+
+@given(tiny_hgr_text(), command_argv())
+@example(text="3 3 1\n0 1 2\n", argv=["bound", "--in", "{in}", "--p", "1e-300", "--lambda", "1",
+                                      "--gamma", "1", "--b", "1"])
+@example(text="3 3 1\n0 1 2\n", argv=["regime", "--family", "complete", "--r", "3", "--N", "0",
+                                      "--c1", "0.05"])
+@example(text="3 3 1\n0 1 2\n", argv=["regime", "--family", "complete", "--r", "3", "--N", "10",
+                                      "--c1", "1e308"])
+@example(text="3 3 1\n0 1 2\n", argv=["simulate", "--task", "subgaussian", "--in", "{in}",
+                                      "--p", "0.3", "--lambdas", "1e-300", "--seed", "3",
+                                      "--trials", "3"])
+@example(text="3 3 1\n0 1 2\n", argv=["simulate", "--task", "subgaussian", "--in", "{in}",
+                                      "--p", "0.3", "--lambdas", "1e300", "--seed", "3",
+                                      "--trials", "3"])
+@settings(max_examples=300, deadline=None)
+def test_commands_exit_cleanly(tmp_path_factory, text, argv):
+    """An exception escaping dispatch here is a traceback from the command line."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.hgr"
+    path.write_text(text)
+    argv = [str(path) if arg == "{in}" else arg for arg in argv]
     code, out, err = run(argv)
     assert code in (0, 1, 2)
     if code:
