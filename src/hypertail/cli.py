@@ -102,6 +102,8 @@ def _apply_config(args, config: dict) -> None:
     for key, (cast, default) in CONFIG_KEYS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, cast(config[key]) if key in config else default)
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
 
 
 def _resolve_seed(args) -> tuple[int, bool]:
@@ -150,7 +152,7 @@ def _niceness_params(args) -> bounds.NicenessParams:
         gamma_cap=args.gamma,
         b=args.b,
         b_k=args.bk,
-        n0=args.n0,
+        n0=getattr(args, "n0", bounds.DEFAULT_N0),  # simulate --task p4 takes no --n0
     )
 
 
@@ -175,13 +177,13 @@ def _cmd_gen(args):
     elif args.family == "disjoint":
         if args.m is None or args.k is None:
             raise UsageError("--family disjoint requires --m and --k")
-        H = generators.disjoint_edges(args.m, args.k)
+        H = generators.disjoint_edges(args.m, args.k, budget=budget)
         params.update(m=args.m, k=args.k)
     elif args.family == "random":
         if args.n is None or args.m is None or args.k is None:
             raise UsageError("--family random requires --n, --m and --k")
         seed, auto = _resolve_seed(args)
-        H = generators.random_uniform(args.n, args.m, args.k, seed=seed, budget=min(budget, 10**6))
+        H = generators.random_uniform(args.n, args.m, args.k, seed=seed, budget=budget)
         params.update(n=args.n, m=args.m, k=args.k, seed=seed, seed_auto=auto)
     else:
         raise UsageError(f"unknown family {args.family!r}")
@@ -479,7 +481,7 @@ SCHEDULE = ("--eps-range", "--strict", "--force-rounds")
 SIMULATE = ("--in", "--task", "--p") + STOCHASTIC
 TASKS = {
     "tail": (_simulate_tail, ("--thresholds",), ("--thresholds",)),
-    "p4": (_simulate_p4, ("--p4-grid", "--lambda", "--gamma", "--b", "--bk", "--n0"), ()),
+    "p4": (_simulate_p4, ("--p4-grid", "--lambda", "--gamma", "--b", "--bk"), ()),
     "subgaussian": (
         _simulate_subgaussian, ("--lambdas", "--variance-source", "--budget"), ("--lambdas",)
     ),

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import NicenessParams
 from .core import BudgetError, InfeasibleError, degree_profile
 from .generators import GraphSpec, pair_rank, subgraph_hypergraph
-from .montecarlo import LANE_EXTENSION, TrialConfig, clopper_pearson
+from .montecarlo import LANE_EXTENSION, TrialConfig, _per_trial, clopper_pearson
 from .percolation import codeg_trigger
 from .rng import TrialStream
 
@@ -382,23 +382,20 @@ def extension_cap_check(
     rg2 = build_rooted(spec, 3) if spec.v_g >= 4 else None
     cap = max(2.0 * q ** (H.k - 1) * profile.max_degree, params.gamma_cap)
     induced = spec.family == "complete"
-    z1_viol = z2_viol = z2_checked = 0
-    for t in range(cfg.trials):
-        gen = TrialStream(cfg.master_seed, t, LANE_EXTENSION).generator()
-        verts = gen.choice(N, size=3, replace=False)
+    z2_on = trigger and rg2 is not None
+
+    def trial(stream: TrialStream) -> tuple[bool, bool]:  # whether Z1, Z2 break their caps
+        gen = stream.generator()
+        roots = tuple(int(x) for x in gen.choice(N, size=3, replace=False))
         sample = GraphSample(N=N, kept=gen.random(comb(N, 2)) < q)
-        z1 = count_extensions(
-            rg1, RootEmbedding(vertices=tuple(int(x) for x in verts[:2])), sample, induced=induced
-        ).z_sets
-        if z1 > cap:
-            z1_viol += 1
-        if trigger and rg2 is not None:
-            z2 = count_extensions(
-                rg2, RootEmbedding(vertices=tuple(int(x) for x in verts)), sample, induced=induced
-            ).z_sets
-            z2_checked += 1
-            if z2 > z1 * log_n**-4:
-                z2_viol += 1
+        z1 = count_extensions(rg1, RootEmbedding(roots[:2]), sample, induced=induced).z_sets
+        if not z2_on:
+            return z1 > cap, False
+        z2 = count_extensions(rg2, RootEmbedding(roots), sample, induced=induced).z_sets
+        return z1 > cap, z2 > z1 * log_n**-4
+
+    z1_viol, z2_viol = map(sum, zip(*_per_trial(cfg, LANE_EXTENSION, trial)))
+    z2_checked = cfg.trials if z2_on else 0
     threshold = 3.0 * math.exp(-params.b * params.lam**2)
     z1_ci = clopper_pearson(z1_viol, cfg.trials, cfg.significance)
     z2_ci = clopper_pearson(z2_viol, z2_checked, cfg.significance) if z2_checked else None

@@ -112,21 +112,29 @@ def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATI
     return Hypergraph(n=comb(N, 2), k=spec.e_g, edges=edges)
 
 
-def disjoint_edges(m_edges: int, k: int) -> Hypergraph:
-    """m pairwise disjoint k-edges on n = m*k vertices."""
+def disjoint_edges(m_edges: int, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Hypergraph:
+    """m <= budget pairwise disjoint k-edges on n = m*k vertices."""
     if m_edges < 1 or k < 1:
         raise ValueError("disjoint_edges needs m_edges >= 1 and k >= 1")
+    if m_edges > budget:
+        raise BudgetError(f"{m_edges} edges exceed budget {budget}")
     edges = [tuple(range(i * k, (i + 1) * k)) for i in range(m_edges)]
     return Hypergraph(n=m_edges * k, k=k, edges=edges)
 
 
-def random_uniform(n: int, m: int, k: int, seed: int, budget: int = 1_000_000) -> Hypergraph:
-    """m distinct uniformly random k-sets on n vertices, deterministic per seed."""
+def random_uniform(
+    n: int, m: int, k: int, seed: int, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> Hypergraph:
+    """m <= budget distinct uniformly random k-sets on n vertices, deterministic
+    per seed; drawn from the enumerated universe when it has at most
+    min(budget, 10^6) members, else by rejection."""
+    if m > budget:
+        raise BudgetError(f"{m} edges exceed budget {budget}")
     total = comb(n, k)
     if m > total:
         raise InfeasibleError(f"cannot place {m} distinct {k}-sets on {n} vertices (max {total})")
     rng = np.random.default_rng(seed)
-    if total <= budget:
+    if total <= min(budget, 10**6):
         universe = list(combinations(range(n), k))
         picks = rng.choice(total, size=m, replace=False)
         edges = [universe[i] for i in picks.tolist()]

@@ -22,10 +22,10 @@ from .percolation import (
     RoundState,
     check_preconditions,
     codeg_trigger,
+    codegree_condition,
     run_exposure,
     surviving_degrees,
     surviving_edge_mask,
-    surviving_pair_counts,
 )
 from .rng import TrialStream
 
@@ -180,19 +180,21 @@ def clopper_pearson(successes: int, trials: int, significance: float) -> tuple[f
     return lo, hi
 
 
-def _run_partitioned(trials: int, workers: int, work):
-    """Run ``work(lo, hi)`` over a partition of the trial range.
-
-    Outcomes depend only on trial indices, so the partition is irrelevant to
-    results; it only enables concurrent execution.
-    """
-    if workers <= 1 or trials < 2:
-        work(0, trials)
-        return
+def _per_trial(cfg: TrialConfig, lane: int, body, first: int = 0) -> list:
+    """``body(stream)`` per trial, in trial order; trial t draws from
+    ``TrialStream(cfg.master_seed, first + t, lane)``, so splitting the trials
+    into ``cfg.workers`` blocks run on threads changes no result."""
+    trials, workers = cfg.trials, min(cfg.workers, cfg.trials)
     step = -(-trials // workers)
-    ranges = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+
+    def block(lo: int) -> list:
+        hi = min(lo + step, trials)
+        return [body(TrialStream(cfg.master_seed, first + t, lane)) for t in range(lo, hi)]
+
+    if workers == 1:
+        return block(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda r: work(*r), ranges))
+        return [out for part in pool.map(block, range(0, trials, step)) for out in part]
 
 
 def edge_count_samples(
@@ -201,17 +203,14 @@ def edge_count_samples(
     """Surviving-edge counts of ``cfg.trials`` independent percolations at q."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"retention probability must lie in (0, 1), got {q}")
-    out = np.empty(cfg.trials, dtype=np.int64)
     edges_arr = H.edges_arr
     n, m = H.n, H.m
 
-    def work(lo, hi):
-        for t in range(lo, hi):
-            kept = TrialStream(cfg.master_seed, t, lane).uniforms(n) < q
-            out[t] = kept[edges_arr].all(axis=1).sum() if m else 0
+    def trial(stream: TrialStream) -> int:
+        kept = stream.uniforms(n) < q
+        return kept[edges_arr].all(axis=1).sum() if m else 0
 
-    _run_partitioned(cfg.trials, cfg.workers, work)
-    return out
+    return np.array(_per_trial(cfg, lane, trial), dtype=np.int64)
 
 
 def estimate_tail(
@@ -276,33 +275,21 @@ def verify_p4(
         raise ValueError("q grid must lie in [p, 1)")
     profile = degree_profile(H)
     delta_max = profile.max_degree
-    log_n = math.log(H.n)
     threshold = math.exp(-params.b * params.lam**2)
     points = []
     for qi, q in enumerate(q_grid):
         cap = max(2.0 * q ** (H.k - 1) * delta_max, params.gamma_cap)
         trigger = codeg_trigger(params.p, q, H, profile)
-        deg_viol = codeg_viol = viol = 0
-        max_deg_seen = max_codeg_seen = 0
-        for t in range(cfg.trials):
-            stream = TrialStream(cfg.master_seed, qi * cfg.trials + t, LANE_P4)
-            kept = stream.uniforms(H.n) < q
-            alive = surviving_edge_mask(H, kept)
+
+        def trial(stream: TrialStream) -> tuple[int, int, bool, bool]:
+            alive = surviving_edge_mask(H, stream.uniforms(H.n) < q)
             deg = surviving_degrees(H, alive)
             dmax = int(deg.max())
-            max_deg_seen = max(max_deg_seen, dmax)
-            bad_deg = dmax > cap
-            bad_codeg = False
-            if trigger:
-                counts = surviving_pair_counts(H, alive)
-                cmax = int(counts.max(initial=0))
-                max_codeg_seen = max(max_codeg_seen, cmax)
-                if cmax:
-                    min_pos = int(deg[deg > 0].min())
-                    bad_codeg = cmax > min_pos * log_n**-3
-            deg_viol += bad_deg
-            codeg_viol += bad_codeg
-            viol += bad_deg or bad_codeg
+            cmax, codeg_ok = codegree_condition(H, alive, deg) if trigger else (0, True)
+            return dmax, cmax, dmax > cap, not codeg_ok
+
+        dmaxes, cmaxes, bad_deg, bad_codeg = zip(*_per_trial(cfg, LANE_P4, trial, qi * cfg.trials))
+        viol = sum(d or c for d, c in zip(bad_deg, bad_codeg))
         lo, hi = clopper_pearson(viol, cfg.trials, cfg.significance)
         points.append(
             P4GridPoint(
@@ -310,14 +297,14 @@ def verify_p4(
                 trials=cfg.trials,
                 deg_cap=cap,
                 trigger=trigger,
-                deg_violations=deg_viol,
-                codeg_violations=codeg_viol,
+                deg_violations=sum(bad_deg),
+                codeg_violations=sum(bad_codeg),
                 violations=viol,
                 point_estimate=viol / cfg.trials,
                 ci_low=lo,
                 ci_high=hi,
-                max_deg_seen=max_deg_seen,
-                max_codeg_seen=max_codeg_seen,
+                max_deg_seen=max(dmaxes),
+                max_codeg_seen=max(cmaxes),
                 supported=(viol == 0 and hi <= threshold),
             )
         )
@@ -468,30 +455,31 @@ def run_exposure_campaign(
         if value <= 0:  # as NicenessParams requires
             raise ValueError(f"{name} must be positive")
     rounds = schedule.rounds
-    sums = np.zeros((rounds + 1, 3))  # edge count, its square, degree-square sum
-    holds = np.zeros((rounds + 1, 4), dtype=np.int64)
-    buckets: list[list[int]] = [[] for _ in range(rounds)]
-    for t in range(cfg.trials):
-        states = run_exposure(H, schedule, TrialStream(cfg.master_seed, t, lane), profile)
-        for state in states:
-            i = state.index
-            sums[i] += (state.edge_count, state.edge_count**2, state.deg_sq_sum)
-            report = check_preconditions(H, state, schedule, lam, gamma_cap, profile)
-            holds[i] += report.holds
-            if i < rounds and report.all_hold:
-                buckets[i].append(states[i + 1].deg_sq_sum)
+
+    def trial(stream: TrialStream) -> np.ndarray:
+        # per round: edge count, its square, degree-square sum, the four condition flags
+        return np.array([
+            (s.edge_count, s.edge_count**2, s.deg_sq_sum)
+            + check_preconditions(H, s, schedule, lam, gamma_cap, profile).holds
+            for s in run_exposure(H, schedule, stream, profile)
+        ], dtype=np.int64)
+
+    rows = _per_trial(cfg, lane, trial)
+    # float64 sums added in trial order, so any worker count gives the same bits
+    sums = sum((r[:, :3].astype(np.float64) for r in rows), np.zeros((rounds + 1, 3)))
+    holds = sum(r[:, 3:] for r in rows)
+    buckets = [[int(r[i + 1, 2]) for r in rows if r[i, 3:].all()] for i in range(rounds)]
     means = sums / cfg.trials
-    # codeg_trigger depends on the round, not the trial, so the last trial's states give it
     per_round = tuple(
         ExposureRound(
-            round=state.index,
+            round=i,
             mean_edge_count=float(mean_x),
             var_edge_count=float(mean_x2 - mean_x**2),
             mean_deg_sq_sum=float(mean_y),
-            codeg_trigger=state.codeg_trigger,
-            holds_counts=tuple(holds[state.index].tolist()),
+            codeg_trigger=codeg_trigger(schedule.p, schedule.epsilon**i, H, profile),
+            holds_counts=tuple(holds[i].tolist()),
         )
-        for state, (mean_x, mean_x2, mean_y) in zip(states, means)
+        for i, (mean_x, mean_x2, mean_y) in enumerate(means)
     )
     return per_round, buckets
 

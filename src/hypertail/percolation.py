@@ -72,10 +72,6 @@ class PreconditionReport:
     t1: float
     t2: float
 
-    @property
-    def all_hold(self) -> bool:
-        return all(self.holds)
-
 
 def surviving_edge_mask(H: Hypergraph, kept: np.ndarray) -> np.ndarray:
     """Boolean mask over edges: True where all k vertices survive."""
@@ -91,6 +87,16 @@ def surviving_pair_counts(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
     """Co-degree of every co-occurring pair, restricted to surviving edges."""
     pairs = H.pair_index
     return np.bincount(pairs.edge_pair_ids[alive].ravel(), minlength=pairs.count)
+
+
+def codegree_condition(H: Hypergraph, alive: np.ndarray, deg: np.ndarray) -> tuple[int, bool]:
+    """Condition (4) for surviving edges ``alive`` with degrees ``deg``: the max
+    co-degree, and whether it is at most (min positive degree) / ln^3 n."""
+    max_codeg = int(surviving_pair_counts(H, alive).max(initial=0))  # k = 1 has no pairs
+    if not max_codeg:
+        return 0, True
+    min_pos_deg = int(deg[deg > 0].min())
+    return max_codeg, max_codeg <= min_pos_deg * math.log(H.n) ** -3
 
 
 def codegree_sums(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
@@ -162,9 +168,8 @@ def _round_state(
 ) -> RoundState:
     alive = surviving_edge_mask(H, kept)
     deg = surviving_degrees(H, alive)
-    log_n = math.log(H.n)
     trigger = codeg_trigger(schedule.p, schedule.epsilon**index, H, profile)
-    eta = H.k * log_n**-3 if trigger else 1.0
+    eta = H.k * math.log(H.n) ** -3 if trigger else 1.0
     return RoundState(
         index=index,
         kept=kept,
@@ -245,11 +250,8 @@ def check_preconditions(
     deg_cap = max(2 * eps ** ((k - 1) * i) * delta_max, gamma_cap)
     holds_cap = int(state.deg.max()) <= deg_cap
 
-    holds_codeg = True
-    if state.codeg_trigger and state.edge_count:
-        max_codeg = int(surviving_pair_counts(H, state.alive).max(initial=0))  # k = 1 has no pairs
-        min_pos_deg = int(state.deg[state.deg > 0].min())
-        holds_codeg = max_codeg <= min_pos_deg * log_n**-3
+    triggered = state.codeg_trigger and state.edge_count
+    holds_codeg = not triggered or codegree_condition(H, state.alive, state.deg)[1]
 
     t1 = (p**k * m) ** -0.5 * eps ** (k * (i + 1)) * m + (1 - eps) * lam * math.sqrt(
         eps ** ((k + 1) * (i + 1)) * m / p

@@ -243,6 +243,23 @@ def test_simulate_workers_do_not_change_counts(tmp_path):
     _, eight, _ = run(base + ["--workers", "8"])
     counts = lambda text: [e["exceed_count"] for e in json.loads(text)["result"]["estimates"]]
     assert counts(one) == counts(eight)
+    # every other campaign that echoes --workers: the same bytes but the echoed count
+    k3 = tmp_path / "k3.hgr"
+    write_hgr(subgraph_hypergraph(complete(3), 6), k3)
+    nice = ["--lambda", "2", "--gamma", "4", "--b", "1", "--trials", "40", "--seed", "8"]
+    for argv in (
+        ["simulate", "--in", str(k3), "--p", "0.1", "--task", "p4", "--p4-grid", "0.2,0.3", *nice],
+        ["nice", "--in", str(k3), "--p", "0.1", "--p4-grid", "0.2,0.3", *nice],
+        ["ext", "--task", "caps", "--family", "complete", "--r", "4", "--N", "6", "--p", "0.2",
+         "--q", "0.5", "--lambda", "2", "--gamma", "4", "--b", "1", "--trials", "20",
+         "--seed", "15"],
+        ["simulate", "--in", str(k3), "--p", "0.125", "--task", "deg-square-sum",
+         "--eps-range", "0.1,0.5", "--force-rounds", "3", "--lambda", "2", "--gamma", "2",
+         "--trials", "30", "--seed", "11"],
+    ):
+        code, one, _ = run(argv + ["--workers", "1"])
+        assert code == 0 and '"workers":1' in one
+        assert run(argv + ["--workers", "2"])[1] == one.replace('"workers":1', '"workers":2')
 
 
 def test_simulate_requires_seed(tmp_path):
@@ -379,11 +396,11 @@ NO_EFFECT_VALUES = {"--trials": "5", "--workers": "2", "--significance": "0.05",
     *[("expose", flag) for flag in ("--workers", "--significance")],
     *[(command, "--budget")
       for command in ("stats", "nice", "bound", "regime", "mcdiarmid", "expose", "ext")],
-    # one flag from each other task's row, and --n0, which only p4 reads
+    # one flag from each other task's row, and --n0, which no task reads
     *[("simulate-tail", flag)
       for flag in ("--p4-grid", "--lambdas", "--round", "--lambda", "--n0")],
     *[("simulate-p4", flag)
-      for flag in ("--thresholds", "--budget", "--continuations", "--eps-range")],
+      for flag in ("--thresholds", "--budget", "--continuations", "--eps-range", "--n0")],
     *[("simulate-subgaussian", flag)
       for flag in ("--thresholds", "--b", "--vertices", "--lambda", "--n0")],
     *[("simulate-deg-moment", flag)
@@ -446,6 +463,35 @@ def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     code, _, _ = run(["oracle", "--in", str(path), "--p", "0.3", "--dist", "--budget", "40000"])
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--budget", "0"],
+    ["gen", "--family", "complete", "--r", "3", "--N", "5", "--budget", "-1"],
+    ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--config", "budget.cfg"],
+    ["oracle", "--in", "d.hgr", "--p", "0.3", "--budget", "0"],
+    ["oracle", "--in", "d.hgr", "--p", "0.3", "--dist", "--config", "budget.cfg"],
+    ["simulate", "--task", "subgaussian", "--in", "d.hgr", "--p", "0.3", "--lambdas", "1",
+     "--trials", "5", "--seed", "1", "--budget", "0"],
+], ids=["gen-flag", "gen-negative", "gen-config", "oracle-flag", "oracle-config", "subgaussian"])
+def test_budget_below_one_is_usage_error(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    (tmp_path / "budget.cfg").write_text("budget=0\n")
+    code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "disjoint", "--m", "5", "--k", "3"],
+    ["gen", "--family", "random", "--n", "9", "--m", "5", "--k", "3", "--seed", "1"],
+], ids=["disjoint", "random"])
+def test_gen_budget_bounds_edge_count(argv):
+    code, out, err = run(argv + ["--budget", "4"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(argv + ["--budget", "5"])[0] == 0
 
 
 def test_malformed_hgr_is_usage_error(tmp_path):
@@ -639,7 +685,8 @@ def test_exposure_commands_exit_cleanly(tmp_path_factory, text, argv):
 
 @st.composite
 def command_argv(draw):
-    """Argv for bound, nice, regime, oracle and every simulate task; "{in}" names the HGR file."""
+    """Argv for gen, stats, bound, nice, regime, oracle, mcdiarmid and every simulate task;
+    "{in}" names the HGR file."""
     edge = st.sampled_from([0.0, 1.0, -0.5, 1e-300, 1e300])
     prob = st.one_of(st.floats(1e-4, 0.99), edge)
     positive = st.one_of(st.floats(0.01, 10), edge)
@@ -649,9 +696,29 @@ def command_argv(draw):
         return st.lists(number, min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs)))
 
     command = draw(st.sampled_from(
-        ["bound", "nice", "regime", "oracle", "tail", "p4", "subgaussian", "deg-moment",
-         "deg-square-sum"]
+        ["gen", "stats", "bound", "nice", "regime", "oracle", "mcdiarmid", "tail", "p4",
+         "subgaussian", "deg-moment", "deg-square-sum"]
     ))
+    if command == "stats":
+        return ["stats", "--in", "{in}"]
+    if command == "mcdiarmid":
+        return ["mcdiarmid", "--t", repr(draw(positive)),
+                "--lipschitz", draw(listed(st.one_of(st.floats(-1, 10), edge)))]
+    if command == "gen":  # small sizes, so every draw is quick
+        family = draw(st.sampled_from(["complete", "complete-bipartite", "disjoint", "random"]))
+        flags = {"--family": family}
+        if family == "complete":
+            flags.update({"--r": draw(st.integers(-1, 5)), "--N": draw(st.integers(-2, 9))})
+        elif family == "complete-bipartite":
+            flags.update({"--a": draw(st.integers(0, 3)), "--b-side": draw(st.integers(0, 3)),
+                          "--N": draw(st.integers(-2, 9))})
+        else:
+            flags.update({"--m": draw(st.integers(-1, 30)), "--k": draw(st.integers(-1, 4))})
+        if family == "random":
+            flags.update({"--n": draw(st.integers(-1, 10)), "--seed": "3"})
+        if draw(st.booleans()):
+            flags["--budget"] = draw(st.integers(-1, 40))
+        return ["gen", *(str(a) for item in flags.items() for a in item)]
     if command == "regime":
         flags = {"--family": draw(st.sampled_from(["complete", "complete-bipartite"])),
                  "--N": draw(st.integers(-2, 12)), "--c1": draw(positive)}
@@ -667,7 +734,9 @@ def command_argv(draw):
     if command in ("bound", "nice", "p4"):
         flags["--b"] = draw(positive)
         if draw(st.booleans()):
-            flags.update({"--bk": draw(positive), "--n0": draw(st.integers(-1, 20))})
+            flags["--bk"] = draw(positive)
+            if command != "p4":  # simulate --task p4 takes no --n0
+                flags["--n0"] = draw(st.integers(-1, 20))
     if command == "oracle" and draw(st.booleans()):
         flags["--budget"] = draw(st.integers(-1, 300))
     if command not in ("bound", "oracle") and (command != "nice" or draw(st.booleans())):
@@ -706,6 +775,10 @@ def command_argv(draw):
 @example(text="3 3 1\n0 1 2\n", argv=["simulate", "--task", "subgaussian", "--in", "{in}",
                                       "--p", "0.3", "--lambdas", "1e300", "--seed", "3",
                                       "--trials", "3"])
+@example(text="3 3 1\n0 1 2\n", argv=["gen", "--family", "disjoint", "--m", "2", "--k", "2",
+                                      "--budget", "0"])
+@example(text="3 3 1\n0 1 2\n", argv=["gen", "--family", "random", "--n", "9", "--m", "5",
+                                      "--k", "3", "--seed", "3", "--budget", "4"])
 @settings(max_examples=300, deadline=None)
 def test_commands_exit_cleanly(tmp_path_factory, text, argv):
     """An exception escaping dispatch here is a traceback from the command line."""

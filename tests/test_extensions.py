@@ -363,6 +363,18 @@ def test_extension_cap_reproducible():
     assert report_fields_defined(a)
 
 
+def test_extension_cap_does_not_depend_on_worker_count():
+    params = NicenessParams(p=0.2, lam=2, gamma_cap=4.0, b=1)
+    a, b = (
+        extension_cap_check(
+            complete(4), 6, 0.2, 0.5, params, TrialConfig(master_seed=149, trials=20, workers=w)
+        )
+        for w in (1, 3)
+    )
+    assert a == b
+    assert a.z2_checked == 20 and a.z2_violations > 0
+
+
 def report_fields_defined(report):
     return (
         report.z1_ci[0] <= report.z1_ci[1]

@@ -94,6 +94,14 @@ def test_subgraph_budget_guard():
         subgraph_hypergraph(complete(3), 500)  # C(500,3) > 1e7
 
 
+def test_edge_budget_guards_disjoint_and_random():
+    with pytest.raises(BudgetError):
+        disjoint_edges(5, 3, budget=4)
+    with pytest.raises(BudgetError):
+        random_uniform(9, 5, 3, seed=1, budget=4)
+    assert disjoint_edges(5, 3, budget=5).m == random_uniform(9, 5, 3, seed=1, budget=5).m == 5
+
+
 def test_subgraph_requires_enough_vertices():
     with pytest.raises(InfeasibleError):
         subgraph_hypergraph(complete(4), 3)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from hypertail import (
     subgraph_hypergraph,
     verify_p4,
 )
-from hypertail.montecarlo import geometric_q_grid
+from hypertail.core import degree_profile
+from hypertail.montecarlo import LANE_EXPOSURE, geometric_q_grid, run_exposure_campaign
 
 
 # --- Clopper-Pearson -------------------------------------------------------
@@ -293,6 +295,30 @@ def test_degree_square_sum_reproducible():
     schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
     cfg = TrialConfig(master_seed=67, trials=100)
     assert check_degree_square_sum(H, schedule, 2.0, 2.0, cfg) == check_degree_square_sum(H, schedule, 2.0, 2.0, cfg)
+
+
+def test_campaigns_do_not_depend_on_worker_count():
+    # 40 trials over 3 threads split into blocks of 14, 14 and 12; a short switch
+    # interval interleaves the threads, the first of which build H's cached pair index
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (3, 1):
+            H = subgraph_hypergraph(complete(3), 6)
+            params = NicenessParams(p=0.1, lam=2, gamma_cap=4.0, b=1)
+            schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
+            cfg = TrialConfig(master_seed=71, trials=40, workers=workers)
+            runs.append((
+                verify_p4(H, params, [0.2, 0.3], cfg),
+                run_exposure_campaign(H, schedule, 2.0, 2.0, cfg, LANE_EXPOSURE, degree_profile(H)),
+            ))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1]
+    evidence, (per_round, buckets) = runs[0]
+    assert any(pt.codeg_violations for pt in evidence.points)  # condition (4) was evaluated
+    assert any(buckets)
 
 
 # --- chi-square two-sample -------------------------------------------------
