@@ -12,7 +12,6 @@ from .core import (
     codegree,
     degree_profile,
     stats_of,
-    validate,
 )
 from .generators import (
     GraphSpec,
@@ -24,7 +23,7 @@ from .generators import (
     random_uniform,
     subgraph_hypergraph,
 )
-from .oracle import exact_distribution, exact_expectation, exact_moments, exact_variance
+from .oracle import exact_distribution, exact_expectation, exact_variance
 from .percolation import (
     STRICT_EPS_RANGE,
     ExposureSchedule,

@@ -137,11 +137,6 @@ class HypergraphStats:
     max_codegree: int
 
 
-def validate(edges, n: int, k: int) -> Hypergraph:
-    """Build a hypergraph from a raw edge list; :class:`Hypergraph` rejects malformed input."""
-    return Hypergraph(n=n, k=k, edges=edges)
-
-
 def degree_profile(H: Hypergraph) -> DegreeProfile:
     """Compute degrees, max/min degree and the maximum co-degree of H.
 

@@ -8,7 +8,7 @@ non-root part are reproduced.  Edges inside the root set are never inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 
@@ -18,7 +18,7 @@ from .bounds import NicenessParams
 from .core import BudgetError, InfeasibleError, degree_profile
 from .generators import GraphSpec, pair_rank, subgraph_hypergraph
 from .montecarlo import LANE_EXTENSION, TrialConfig, _per_trial, clopper_pearson
-from .percolation import codeg_trigger
+from .percolation import codeg_trigger, degree_cap
 from .rng import TrialStream
 
 BALANCE_BUDGET = 20
@@ -281,6 +281,8 @@ def z_identity_check(
     patterns compare against distinct embedded edge sets without induced
     non-adjacency constraints, which is the count the identity is exact for.
     """
+    if conditioned_target is not None and conditioned_target < 1:
+        raise ValueError(f"conditioned target must be >= 1, got {conditioned_target}")
     H = subgraph_hypergraph(spec, N)
     e1 = pair_rank(0, 1)
     rg = build_rooted(spec, 2)
@@ -291,31 +293,34 @@ def z_identity_check(
     if spec.family == "complete_bipartite" and spec.parts[0] != spec.parts[1]:
         orientations.append(RootEmbedding(vertices=(1, 0)))
     edge_arr = H.edges_arr[(H.edges_arr == e1).any(axis=1)]  # the edges through e1
-    z_values = []
-    conditioned = mismatches = 0
-    target = conditioned_target
-    samples = cfg.trials if target is None else max(1000, math.ceil(target / q * 20))
-    for trial in range(samples):
-        if target is not None and conditioned >= target:
-            break
-        sample = sample_gnq(N, q, TrialStream(cfg.master_seed, trial, LANE_EXTENSION))
+
+    def trial(stream: TrialStream) -> tuple[int, bool, bool]:  # Z1, root edge kept, mismatch
+        sample = sample_gnq(N, q, stream)
         if induced:
             z1 = count_extensions(rg, orientations[0], sample, induced=True).z_sets
         else:
-            images = set()
-            for root in orientations:
-                images |= _scan_extensions(rg, root, sample, induced=False)[2]
-            z1 = len(images)
-        z_values.append(z1)
-        if sample.kept[e1]:
-            conditioned += 1
-            deg_e1 = int(sample.kept[edge_arr].all(axis=1).sum())
-            if deg_e1 != z1:
-                mismatches += 1
-    if target is not None and conditioned < target:
-        raise InfeasibleError(
-            f"only {conditioned} of {target} conditioned trials after {samples} samples at q={q}"
-        )
+            z1 = len(set().union(*(_scan_extensions(rg, r, sample, False)[2] for r in orientations)))
+        hit = bool(sample.kept[e1])
+        return z1, hit, hit and int(sample.kept[edge_arr].all(axis=1).sum()) != z1
+
+    target = conditioned_target
+    if target is None:
+        rows = _per_trial(cfg, LANE_EXTENSION, trial)
+    else:
+        samples = max(1000, math.ceil(target / q * 20))
+        rows, conditioned = [], 0
+        # a trial adds at most one conditioned hit, so no chunk runs past the target-th
+        while conditioned < target and len(rows) < samples:
+            chunk = min(target - conditioned, samples - len(rows))
+            part = _per_trial(replace(cfg, trials=chunk), LANE_EXTENSION, trial, first=len(rows))
+            conditioned += sum(hit for _, hit, _ in part)
+            rows += part
+        if conditioned < target:
+            raise InfeasibleError(
+                f"only {conditioned} of {target} conditioned trials after {samples} samples at q={q}"
+            )
+    z_values, hits, misses = zip(*rows)
+    conditioned, mismatches = sum(hits), sum(misses)
     zs = np.array(z_values, dtype=np.float64)
     stderr = float(zs.std(ddof=1) / math.sqrt(zs.size)) if zs.size > 1 else 0.0
     if induced:
@@ -328,7 +333,7 @@ def z_identity_check(
         spec_label=spec.label,
         N=N,
         q=q,
-        trials_total=len(z_values),
+        trials_total=len(rows),
         trials_conditioned=conditioned,
         mismatches=mismatches,
         all_equal=mismatches == 0,
@@ -380,7 +385,7 @@ def extension_cap_check(
     trigger = codeg_trigger(p, q, H, profile)
     rg1 = build_rooted(spec, 2)
     rg2 = build_rooted(spec, 3) if spec.v_g >= 4 else None
-    cap = max(2.0 * q ** (H.k - 1) * profile.max_degree, params.gamma_cap)
+    cap = degree_cap(q, H, profile, params.gamma_cap)
     induced = spec.family == "complete"
     z2_on = trigger and rg2 is not None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Hypergraph, validate
+from .core import Hypergraph
 
 
 class HgrFormatError(ValueError):
@@ -58,7 +58,7 @@ def loads(text: str) -> Hypergraph:
     rows = np.fromstring(raw[ends[2] + 1 :], dtype=np.int64, sep=" ").reshape(m, k)
     if rows.size and rows.max() == np.iinfo(np.int64).max:  # fromstring saturates larger ids
         raise HgrFormatError("vertex ids must be below 2^63 - 1")
-    H = validate(rows, n=n, k=k)
+    H = Hypergraph(n=n, k=k, edges=rows)
     if not np.array_equal(rows, H.edges_arr):
         raise HgrFormatError("edges must be sorted ascending and listed in lexicographic order")
     return H

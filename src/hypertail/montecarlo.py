@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats as sps
@@ -23,6 +23,7 @@ from .percolation import (
     check_preconditions,
     codeg_trigger,
     codegree_condition,
+    degree_cap,
     run_exposure,
     surviving_degrees,
     surviving_edge_mask,
@@ -274,11 +275,10 @@ def verify_p4(
     if any(not params.p <= q < 1.0 for q in q_grid):
         raise ValueError("q grid must lie in [p, 1)")
     profile = degree_profile(H)
-    delta_max = profile.max_degree
     threshold = math.exp(-params.b * params.lam**2)
     points = []
     for qi, q in enumerate(q_grid):
-        cap = max(2.0 * q ** (H.k - 1) * delta_max, params.gamma_cap)
+        cap = degree_cap(q, H, profile, params.gamma_cap)
         trigger = codeg_trigger(params.p, q, H, profile)
 
         def trial(stream: TrialStream) -> tuple[int, int, bool, bool]:
@@ -378,37 +378,39 @@ def check_degree_moment(
     state: RoundState,
     schedule: ExposureSchedule,
     cfg: TrialConfig,
-    vertices=None,
+    vertices,
     continuations: int = 10_000,
 ) -> DegreeMomentReport:
     """Conditional Monte Carlo check of the next-round degree second moment.
 
-    For each chosen surviving vertex, the next round is resampled
-    ``continuations`` times while the current state stays fixed; the sample
-    mean of the squared next-round degree must not exceed the analytic bound
-    by more than three standard errors.
+    ``vertices`` lists surviving vertices, or is how many trial 0 of the
+    ``LANE_DEGREE_MOMENT`` lane picks from the survivors.  Trial i + 1 resamples
+    vertex i's next round ``continuations`` times with the current state fixed;
+    the mean squared next-round degree must not exceed the analytic bound by
+    more than three standard errors.
     """
+    if continuations < 1:
+        raise ValueError(f"continuations must be >= 1, got {continuations}")
     eps = schedule.epsilon
-    survivors = np.flatnonzero(state.kept)
-    if survivors.size == 0:
-        return DegreeMomentReport(entries=(), epsilon=eps, eta=state.eta)
-    if vertices is None:
-        vertices = survivors.tolist()
-    elif isinstance(vertices, int):
+    if isinstance(vertices, int):
+        if vertices < 0:
+            raise ValueError(f"vertex count must be >= 0, got {vertices}")
+        survivors = np.flatnonzero(state.kept)
         picker = TrialStream(cfg.master_seed, 0, LANE_DEGREE_MOMENT).generator()
         size = min(vertices, survivors.size)
         vertices = sorted(picker.choice(survivors, size=size, replace=False).tolist())
-    entries = []
-    for s_idx, v in enumerate(vertices):
+    for v in vertices:
         if not state.kept[v]:
             raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
+    if not vertices:
+        return DegreeMomentReport(entries=(), epsilon=eps, eta=state.eta)
+
+    def trial(stream: TrialStream) -> DegreeMomentEntry:
+        v = vertices[stream.trial - 1]
         live_edges = [e for e in H.incidence[v] if state.alive[e]]
         others = sorted({u for e in live_edges for u in H.edges[e] if u != v})
         pos = {u: j + 1 for j, u in enumerate(others)}  # v sits at column 0
-        relevant = 1 + len(others)
-        stream = TrialStream(cfg.master_seed, s_idx + 1, LANE_DEGREE_MOMENT)
-        u = stream.uniform_matrix(continuations, relevant)
-        kept_next = u < eps
+        kept_next = stream.uniform_matrix(continuations, 1 + len(others)) < eps
         if live_edges:
             cols = np.array(
                 [[pos[u_] for u_ in H.edges[e] if u_ != v] for e in live_edges], dtype=np.int64
@@ -421,16 +423,16 @@ def check_degree_moment(
         estimate = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(continuations)) if continuations > 1 else 0.0
         bound = degree_moment_bound(int(state.deg[v]), H.k, state.eta, eps)
-        entries.append(
-            DegreeMomentEntry(
-                vertex=int(v),
-                deg=int(state.deg[v]),
-                estimate=estimate,
-                stderr=stderr,
-                bound=bound,
-                holds=estimate <= bound + 3 * stderr,
-            )
+        return DegreeMomentEntry(
+            vertex=int(v),
+            deg=int(state.deg[v]),
+            estimate=estimate,
+            stderr=stderr,
+            bound=bound,
+            holds=estimate <= bound + 3 * stderr,
         )
+
+    entries = _per_trial(replace(cfg, trials=len(vertices)), LANE_DEGREE_MOMENT, trial, first=1)
     return DegreeMomentReport(entries=tuple(entries), epsilon=eps, eta=state.eta)
 
 

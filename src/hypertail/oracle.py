@@ -19,12 +19,6 @@ DEFAULT_ENUMERATION_LIMIT = 22
 
 
 @dataclass(frozen=True)
-class ExactMoments:
-    expectation: float
-    variance: float
-
-
-@dataclass(frozen=True)
 class ExactDistribution:
     """Exact law of the surviving-edge count over all 2^n vertex subsets."""
 
@@ -78,10 +72,6 @@ def exact_variance(H: Hypergraph, p: float, pair_budget: int = DEFAULT_PAIR_BUDG
             assert term >= 0.0  # |e U e'| <= 2k forces nonnegative covariance
             terms.append(term)
     return fsum(terms)
-
-
-def exact_moments(H: Hypergraph, p: float) -> ExactMoments:
-    return ExactMoments(expectation=exact_expectation(H, p), variance=exact_variance(H, p))
 
 
 def exact_distribution(

@@ -99,6 +99,11 @@ def codegree_condition(H: Hypergraph, alive: np.ndarray, deg: np.ndarray) -> tup
     return max_codeg, max_codeg <= min_pos_deg * math.log(H.n) ** -3
 
 
+def degree_cap(q: float, H: Hypergraph, profile: DegreeProfile, gamma_cap: float) -> float:
+    """Condition (3)'s cap on surviving degrees at retention q: max{2 q^(k-1) Delta, Gamma}."""
+    return max(2.0 * q ** (H.k - 1) * profile.max_degree, gamma_cap)
+
+
 def codegree_sums(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
     """For each vertex v, sum of surviving co-degrees over all partners u.
 
@@ -247,6 +252,7 @@ def check_preconditions(
     )
     holds_deg_sq = state.deg_sq_sum <= deg_sq_bound
 
+    # not degree_cap(eps**i, ...): (eps**i) ** (k - 1) can differ in the last bit
     deg_cap = max(2 * eps ** ((k - 1) * i) * delta_max, gamma_cap)
     holds_cap = int(state.deg.max()) <= deg_cap
 

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 
@@ -256,6 +257,13 @@ def test_simulate_workers_do_not_change_counts(tmp_path):
         ["simulate", "--in", str(k3), "--p", "0.125", "--task", "deg-square-sum",
          "--eps-range", "0.1,0.5", "--force-rounds", "3", "--lambda", "2", "--gamma", "2",
          "--trials", "30", "--seed", "11"],
+        ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6", "--q", "0.5",
+         "--trials", "30", "--seed", "3"],
+        ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6", "--q", "0.5",
+         "--trials", "1", "--seed", "3", "--conditioned", "20"],
+        ["simulate", "--in", str(k3), "--p", "0.125", "--task", "deg-moment",
+         "--eps-range", "0.1,0.5", "--force-rounds", "3", "--round", "1", "--vertices", "6",
+         "--continuations", "300", "--trials", "1", "--seed", "4"],
     ):
         code, one, _ = run(argv + ["--workers", "1"])
         assert code == 0 and '"workers":1' in one
@@ -452,6 +460,32 @@ def test_out_of_range_inputs_are_one_error_line(tmp_path, monkeypatch, argv, exp
     code, out, err = run(argv)
     assert (code, out) == (expected, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ZCHECK = ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6", "--q", "0.5",
+          "--trials", "5", "--seed", "1"]
+DEG_MOMENT = ["simulate", "--task", "deg-moment", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5",
+              "--trials", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*ZCHECK, "--conditioned", "0"],
+    [*ZCHECK, "--conditioned", "-3"],
+    [*DEG_MOMENT, "--continuations", "0"],
+    [*DEG_MOMENT, "--vertices", "-2"],
+], ids=["conditioned-0", "conditioned-negative", "continuations-0", "vertices-negative"])
+def test_counts_below_their_minimum_are_one_error_line(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(subgraph_hypergraph(complete(3), 5), tmp_path / "k3.hgr")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        code, out, err = run(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"got {argv[-1]}" in err
+    # no vertex to check is a valid, empty check
+    code, out, _ = run([*DEG_MOMENT, "--vertices", "0"])
+    assert code == 0 and json.loads(out)["result"]["entries"] == []
 
 
 def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertail import codegree, complete, degree_profile, subgraph_hypergraph, validate
+from hypertail import Hypergraph, codegree, complete, degree_profile, subgraph_hypergraph
 from hypertail.generators import disjoint_edges
 
 
 def test_validate_basic_construction():
-    H = validate([{0, 1, 2}, {0, 1, 3}, {2, 3, 4}], n=5, k=3)
+    H = Hypergraph(n=5, k=3, edges=[{0, 1, 2}, {0, 1, 3}, {2, 3, 4}])
     assert H.m == 3
     assert H.n == 5
     assert H.edges == ((0, 1, 2), (0, 1, 3), (2, 3, 4))
@@ -16,28 +16,28 @@ def test_validate_basic_construction():
 
 def test_validate_rejects_duplicate_edges():
     with pytest.raises(ValueError, match="duplicate"):
-        validate([(0, 1, 2), (2, 1, 0)], n=3, k=3)
+        Hypergraph(n=3, k=3, edges=[(0, 1, 2), (2, 1, 0)])
 
 
 def test_validate_rejects_out_of_range_vertex():
     with pytest.raises(ValueError, match="outside"):
-        validate([(0, 1, 5)], n=4, k=3)
+        Hypergraph(n=4, k=3, edges=[(0, 1, 5)])
 
 
 def test_validate_rejects_wrong_cardinality():
     with pytest.raises(ValueError):
-        validate([(0, 1)], n=4, k=3)
+        Hypergraph(n=4, k=3, edges=[(0, 1)])
     with pytest.raises(ValueError):
-        validate([(0, 1, 1)], n=4, k=3)
+        Hypergraph(n=4, k=3, edges=[(0, 1, 1)])
 
 
 def test_validate_rejects_bad_k():
     with pytest.raises(ValueError):
-        validate([], n=3, k=0)
+        Hypergraph(n=3, k=0, edges=[])
 
 
 def test_incidence_is_consistent():
-    H = validate([(0, 1, 2), (0, 1, 3), (2, 3, 4)], n=5, k=3)
+    H = Hypergraph(n=5, k=3, edges=[(0, 1, 2), (0, 1, 3), (2, 3, 4)])
     for v in range(H.n):
         for e in H.incidence[v]:
             assert v in H.edges[e]
@@ -47,7 +47,7 @@ def test_incidence_is_consistent():
 
 
 def test_degree_profile_hand_example():
-    H = validate([(0, 1, 2), (0, 1, 3), (2, 3, 4)], n=5, k=3)
+    H = Hypergraph(n=5, k=3, edges=[(0, 1, 2), (0, 1, 3), (2, 3, 4)])
     profile = degree_profile(H)
     assert profile.deg.tolist() == [2, 2, 2, 2, 1]
     assert profile.max_degree == 2
@@ -97,7 +97,7 @@ def hypergraphs(draw):
 
     universe = list(combinations(range(n), k))
     edges = draw(st.lists(st.sampled_from(universe), unique=True, max_size=len(universe)))
-    return validate(edges, n=n, k=k)
+    return Hypergraph(n=n, k=k, edges=edges)
 
 
 @given(hypergraphs())

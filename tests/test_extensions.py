@@ -25,6 +25,7 @@ from hypertail import (
     z_identity_check,
 )
 from hypertail.extensions import GraphSample
+from hypertail.montecarlo import LANE_EXTENSION
 
 
 def oracle_is_balanced(rg):
@@ -306,6 +307,17 @@ def test_z_identity_conditioned_target():
     )
     assert report.trials_conditioned == 50
     assert report.all_equal
+
+
+def test_z_identity_stops_at_the_target_th_conditioned_trial():
+    # the root edge is pair rank 0, so trial t is conditioned iff its first uniform is below q
+    q, target, seed = 0.3, 25, 163
+    hits = [t for t in range(1000) if TrialStream(seed, t, LANE_EXTENSION).uniforms(1)[0] < q]
+    for workers in (1, 3):
+        cfg = TrialConfig(master_seed=seed, trials=1, workers=workers)
+        report = z_identity_check(complete(3), 6, q, cfg, conditioned_target=target)
+        assert report.trials_conditioned == target
+        assert report.trials_total == hits[target - 1] + 1
 
 
 def test_z_identity_near_full_retention_matches_degree():

@@ -23,6 +23,7 @@ from hypertail import (
     run_exposure,
     subgraph_hypergraph,
     verify_p4,
+    z_identity_check,
 )
 from hypertail.core import degree_profile
 from hypertail.montecarlo import LANE_EXPOSURE, geometric_q_grid, run_exposure_campaign
@@ -309,16 +310,22 @@ def test_campaigns_do_not_depend_on_worker_count():
             params = NicenessParams(p=0.1, lam=2, gamma_cap=4.0, b=1)
             schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
             cfg = TrialConfig(master_seed=71, trials=40, workers=workers)
+            state = run_exposure(H, schedule, TrialStream(71, 0))[1]
             runs.append((
                 verify_p4(H, params, [0.2, 0.3], cfg),
                 run_exposure_campaign(H, schedule, 2.0, 2.0, cfg, LANE_EXPOSURE, degree_profile(H)),
+                z_identity_check(complete(3), 6, 0.5, cfg),
+                z_identity_check(complete(3), 6, 0.5, cfg, conditioned_target=30),
+                check_degree_moment(H, state, schedule, cfg, vertices=15, continuations=200),
             ))
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1]
-    evidence, (per_round, buckets) = runs[0]
+    evidence, (per_round, buckets), _, conditioned, moment = runs[0]
     assert any(pt.codeg_violations for pt in evidence.points)  # condition (4) was evaluated
     assert any(buckets)
+    assert conditioned.trials_conditioned == 30 < conditioned.trials_total
+    assert len(moment.entries) >= 3  # one vertex per thread at least
 
 
 # --- chi-square two-sample -------------------------------------------------

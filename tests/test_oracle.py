@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from hypertail import (
     BudgetError,
+    Hypergraph,
     complete,
     disjoint_edges,
     exact_distribution,
     exact_expectation,
-    exact_moments,
     exact_variance,
     random_uniform,
     subgraph_hypergraph,
-    validate,
 )
 
 TOL = 1e-12
@@ -72,7 +71,7 @@ def test_variance_triangle_pinned_value():
 
 
 def test_variance_single_edge():
-    H = validate([(0, 1)], n=2, k=2)
+    H = Hypergraph(n=2, k=2, edges=[(0, 1)])
     assert exact_variance(H, 0.5) == pytest.approx(0.25 * 0.75, abs=TOL)
 
 
@@ -91,7 +90,7 @@ def test_variance_covariance_terms_nonnegative():
 
 
 def test_distribution_single_unary_edge():
-    H = validate([(0,)], n=1, k=1)
+    H = Hypergraph(n=1, k=1, edges=[(0,)])
     dist = exact_distribution(H, 0.3)
     assert dist.probabilities[0] == pytest.approx(0.7, abs=TOL)
     assert dist.probabilities[1] == pytest.approx(0.3, abs=TOL)
@@ -137,10 +136,3 @@ def test_distribution_matches_independent_enumeration(seed, p):
     assert set(dist.probabilities) == {x for x, pr in oracle.items() if pr}
     for x, pr in dist.probabilities.items():
         assert pr == pytest.approx(oracle[x], abs=1e-12)
-
-
-def test_moments_bundle():
-    H = disjoint_edges(5, 2)
-    mom = exact_moments(H, 0.4)
-    assert mom.expectation == pytest.approx(exact_expectation(H, 0.4), abs=TOL)
-    assert mom.variance == pytest.approx(exact_variance(H, 0.4), abs=TOL)
