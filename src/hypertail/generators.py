@@ -112,12 +112,17 @@ def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATI
     return Hypergraph(n=comb(N, 2), k=spec.e_g, edges=edges)
 
 
+def _check_edge_budget(m: int, k: int, budget: int) -> None:
+    """The edge list holds m*k vertex ids; refuse it above ``budget``."""
+    if m * k > budget:
+        raise BudgetError(f"{m} edges of {k} vertices ({m * k} vertex ids) exceed budget {budget}")
+
+
 def disjoint_edges(m_edges: int, k: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Hypergraph:
-    """m <= budget pairwise disjoint k-edges on n = m*k vertices."""
+    """m pairwise disjoint k-edges on n = m*k <= budget vertices."""
     if m_edges < 1 or k < 1:
         raise ValueError("disjoint_edges needs m_edges >= 1 and k >= 1")
-    if m_edges > budget:
-        raise BudgetError(f"{m_edges} edges exceed budget {budget}")
+    _check_edge_budget(m_edges, k, budget)
     edges = [tuple(range(i * k, (i + 1) * k)) for i in range(m_edges)]
     return Hypergraph(n=m_edges * k, k=k, edges=edges)
 
@@ -125,11 +130,10 @@ def disjoint_edges(m_edges: int, k: int, budget: int = DEFAULT_ENUMERATION_BUDGE
 def random_uniform(
     n: int, m: int, k: int, seed: int, budget: int = DEFAULT_ENUMERATION_BUDGET
 ) -> Hypergraph:
-    """m <= budget distinct uniformly random k-sets on n vertices, deterministic
-    per seed; drawn from the enumerated universe when it has at most
-    min(budget, 10^6) members, else by rejection."""
-    if m > budget:
-        raise BudgetError(f"{m} edges exceed budget {budget}")
+    """m distinct uniformly random k-sets on n vertices, m*k <= budget,
+    deterministic per seed; drawn from the enumerated universe when it has at
+    most min(budget, 10^6) members, else by rejection."""
+    _check_edge_budget(m, k, budget)
     total = comb(n, k)
     if m > total:
         raise InfeasibleError(f"cannot place {m} distinct {k}-sets on {n} vertices (max {total})")

@@ -2,7 +2,9 @@
 
 Trials are embarrassingly parallel: every trial draws from its own counter
 addressed substream, counts are integers, and aggregation is commutative, so
-worker count and scheduling never change a result.
+worker count and scheduling never change a result.  Campaigns whose trial is
+one percolation at one q run in blocks of 64 trials, one bit per trial in a
+``uint64`` word per vertex; the others run one trial at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from . import oracle
 from .bounds import NicenessParams, degree_moment_bound
@@ -21,14 +23,15 @@ from .percolation import (
     ExposureSchedule,
     RoundState,
     check_preconditions,
+    codeg_holds,
     codeg_trigger,
-    codegree_condition,
     degree_cap,
     run_exposure,
-    surviving_degrees,
+    surviving_edge_counts,
     surviving_edge_mask,
+    surviving_extremes,
 )
-from .rng import TrialStream
+from .rng import TrialStream, uniform_block
 
 # Campaign lanes: distinct campaigns from one master seed must not share
 # uniforms, so each estimator draws from its own lane.
@@ -40,6 +43,9 @@ LANE_SUBGAUSSIAN = 5
 LANE_DEGREE_MOMENT = 6
 LANE_DEG_SQ_SUM = 7
 LANE_EXTENSION = 8
+
+BLOCK = 64  # trials per block of a percolation campaign: one bit each in a uint64 word
+DRAW_UNIFORMS = 1 << 20  # uniforms per block draw (8 MB): large n draws a block in row chunks
 
 
 @dataclass(frozen=True)
@@ -172,30 +178,65 @@ def clopper_pearson(successes: int, trials: int, significance: float) -> tuple[f
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     alpha = significance
-    lo = 0.0 if successes == 0 else float(sps.beta.ppf(alpha / 2, successes, trials - successes + 1))
+    # betaincinv(a, b, y) is the y-quantile of Beta(a, b)
+    lo = 0.0 if successes == 0 else float(special.betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = (
         1.0
         if successes == trials
-        else float(sps.beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        else float(special.betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     )
     return lo, hi
+
+
+def _in_order(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` threads."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _per_trial(cfg: TrialConfig, lane: int, body, first: int = 0) -> list:
     """``body(stream)`` per trial, in trial order; trial t draws from
     ``TrialStream(cfg.master_seed, first + t, lane)``, so splitting the trials
     into ``cfg.workers`` blocks run on threads changes no result."""
-    trials, workers = cfg.trials, min(cfg.workers, cfg.trials)
-    step = -(-trials // workers)
+    step = -(-cfg.trials // min(cfg.workers, cfg.trials))
 
     def block(lo: int) -> list:
-        hi = min(lo + step, trials)
+        hi = min(lo + step, cfg.trials)
         return [body(TrialStream(cfg.master_seed, first + t, lane)) for t in range(lo, hi)]
 
-    if workers == 1:
-        return block(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [out for part in pool.map(block, range(0, trials, step)) for out in part]
+    parts = _in_order(block, range(0, cfg.trials, step), cfg.workers)
+    return [out for part in parts for out in part]
+
+
+def _per_block(cfg: TrialConfig, lane: int, H: Hypergraph, q: float, body, first: int = 0) -> list:
+    """The trials of one percolation at q, 64 at a time: ``body(alive, size)``
+    per block of ``size`` consecutive trials returns their ``size`` results,
+    which are joined in trial order.
+
+    Trial t keeps vertex v when ``TrialStream(cfg.master_seed, first + t,
+    lane).uniforms(n)[v] < q``.  Bit j of ``alive[e]`` says whether edge e
+    survives in the block's trial j; bits j >= ``size`` are 0.  ``cfg.workers``
+    threads split whole blocks, which changes no result.
+    """
+    rows = max(1, min(BLOCK, DRAW_UNIFORMS // H.n))
+
+    def block(lo: int) -> list:
+        size = min(BLOCK, cfg.trials - lo)
+        words = np.zeros(H.n, dtype="<u8")  # vertex v's flags, trial j at bit j
+        for r in range(0, size, rows):
+            count = min(rows, size - r)
+            flags = uniform_block(cfg.master_seed, first + lo + r, lane, count, H.n) < q
+            kept = np.ascontiguousarray(flags.T)  # row v: vertex v's flags for these trials
+            octets = np.zeros((H.n, 8), dtype=np.uint8)
+            octets[:, : -(-count // 8)] = np.packbits(kept, axis=1, bitorder="little")
+            words |= octets.view("<u8").ravel() << np.uint64(r)
+        return body(surviving_edge_mask(H, words), size)
+
+    parts = _in_order(block, range(0, cfg.trials, BLOCK), cfg.workers)
+    return [out for part in parts for out in part]
 
 
 def edge_count_samples(
@@ -204,14 +245,11 @@ def edge_count_samples(
     """Surviving-edge counts of ``cfg.trials`` independent percolations at q."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"retention probability must lie in (0, 1), got {q}")
-    edges_arr = H.edges_arr
-    n, m = H.n, H.m
 
-    def trial(stream: TrialStream) -> int:
-        kept = stream.uniforms(n) < q
-        return kept[edges_arr].all(axis=1).sum() if m else 0
+    def block(alive: np.ndarray, size: int) -> list[int]:
+        return surviving_edge_counts(alive)[:size].tolist()
 
-    return np.array(_per_trial(cfg, lane, trial), dtype=np.int64)
+    return np.array(_per_block(cfg, lane, H, q, block), dtype=np.int64)
 
 
 def estimate_tail(
@@ -281,14 +319,15 @@ def verify_p4(
         cap = degree_cap(q, H, profile, params.gamma_cap)
         trigger = codeg_trigger(params.p, q, H, profile)
 
-        def trial(stream: TrialStream) -> tuple[int, int, bool, bool]:
-            alive = surviving_edge_mask(H, stream.uniforms(H.n) < q)
-            deg = surviving_degrees(H, alive)
-            dmax = int(deg.max())
-            cmax, codeg_ok = codegree_condition(H, alive, deg) if trigger else (0, True)
-            return dmax, cmax, dmax > cap, not codeg_ok
+        def block(alive: np.ndarray, size: int) -> list[tuple[int, int, bool, bool]]:
+            dmaxes, dmins, cmaxes = surviving_extremes(H, alive, size, codeg=trigger).tolist()
+            return [
+                (dmax, cmax, dmax > cap, not codeg_holds(cmax, dmin, H.n))
+                for dmax, dmin, cmax in zip(dmaxes, dmins, cmaxes)
+            ]
 
-        dmaxes, cmaxes, bad_deg, bad_codeg = zip(*_per_trial(cfg, LANE_P4, trial, qi * cfg.trials))
+        rows = _per_block(cfg, LANE_P4, H, q, block, first=qi * cfg.trials)
+        dmaxes, cmaxes, bad_deg, bad_codeg = zip(*rows)
         viol = sum(d or c for d, c in zip(bad_deg, bad_codeg))
         lo, hi = clopper_pearson(viol, cfg.trials, cfg.significance)
         points.append(
@@ -562,6 +601,8 @@ def chi_square_two_sample(xs, ys) -> ChiSquareResult:
             bins_b.append(acc_b)
     if len(bins_a) < 2:
         return ChiSquareResult(statistic=0.0, pvalue=1.0, dof=0, bins=len(bins_a))
+    from scipy import stats  # slow to import, and only tests call this
+
     table = np.array([bins_a, bins_b], dtype=np.int64)
-    stat, pvalue, dof, _ = sps.chi2_contingency(table, correction=False)
+    stat, pvalue, dof, _ = stats.chi2_contingency(table, correction=False)
     return ChiSquareResult(statistic=float(stat), pvalue=float(pvalue), dof=int(dof), bins=len(bins_a))

@@ -74,8 +74,81 @@ class PreconditionReport:
 
 
 def surviving_edge_mask(H: Hypergraph, kept: np.ndarray) -> np.ndarray:
-    """Boolean mask over edges: True where all k vertices survive."""
-    return kept[H.edges_arr].all(axis=1)
+    """Per edge, the AND of its k vertices' entries of ``kept``.
+
+    With one bool flag per vertex this is a bool mask over edges: True where
+    all k vertices survive.  With one ``uint64`` word per vertex, whose bit j
+    says whether trial j of a block kept the vertex, it is one word per edge
+    whose bit j says whether the edge survives in trial j.
+    """
+    cols = H.edges_arr.T
+    alive = kept[cols[0]]
+    for col in cols[1:]:
+        alive &= kept[col]
+    return alive
+
+
+# _BYTE_BITS[v, i] is bit i of the byte v.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
+_BYTE_SLOTS = 256 * np.arange(8, dtype=np.intp)
+_COUNT_CHUNK = 1 << 14  # words per bincount: bounds its intp keys to 1 MB
+
+
+def surviving_edge_counts(alive: np.ndarray) -> np.ndarray:
+    """The 64 per-trial edge counts of a block's ``alive`` words (see
+    :func:`surviving_edge_mask`): entry j counts the words with bit j set."""
+    octets = alive[alive != 0].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    # hist[b, v]: how many words have the value v in byte b
+    hist = np.zeros(8 * 256, dtype=np.int64)
+    for lo in range(0, len(octets), _COUNT_CHUNK):
+        keys = octets[lo : lo + _COUNT_CHUNK] + _BYTE_SLOTS
+        hist += np.bincount(keys.ravel(), minlength=8 * 256)
+    return (hist.reshape(8, 256) @ _BYTE_BITS).ravel()  # row b, column i: trial 8b + i
+
+
+def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool) -> np.ndarray:
+    """A (3, size) array whose column j holds, for trial j of a block's
+    ``alive`` words: the max surviving degree, the min positive surviving
+    degree (0 when no edge survives) and, when ``codeg``, the max surviving
+    co-degree (else 0).
+
+    Trials go 8 at a time, one byte of each word.  While those 8 trials keep
+    at most m/2 (trial, edge) pairs, degrees are one ``bincount`` of (trial,
+    vertex) keys and co-degree maxima the longest runs of equal sorted
+    (trial, pair) keys, so no table of all pairs per trial is built.  Denser
+    trials go one at a time through :func:`surviving_degrees` and
+    :func:`surviving_pair_counts`, which is faster there (measured on K3 at
+    N = 30 and 100) and keeps the arrays to one trial's size.
+    """
+    n = H.n
+    octets = alive.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    out = np.zeros((3, size), dtype=np.int64)
+    for lo in range(0, size, 8):
+        byte, span = octets[:, lo // 8], slice(lo, min(lo + 8, size))
+        count = span.stop - lo
+        if 2 * int(np.bitwise_count(byte).sum()) <= H.m:
+            edge = np.flatnonzero(byte)
+            row, trial = np.nonzero(np.unpackbits(byte[edge][:, None], axis=1, bitorder="little"))
+            edge = edge[row]
+            keys = trial[:, None] * n + H.edges_arr[edge]
+            deg = np.bincount(keys.ravel(), minlength=8 * n).reshape(8, n)[:count]
+            if codeg and H.pair_index.count:
+                pairs = H.pair_index
+                keys = np.sort(trial[:, None] * pairs.count + pairs.edge_pair_ids[edge], axis=None)
+                starts = np.flatnonzero(np.diff(keys, prepend=-1))
+                runs = np.diff(starts, append=keys.size)
+                np.maximum.at(out[2, span], keys[starts] // pairs.count, runs)
+        else:
+            masks = [(byte & (1 << i)) != 0 for i in range(count)]
+            deg = np.stack([surviving_degrees(H, mask) for mask in masks])
+            if codeg:
+                out[2, span] = [surviving_pair_counts(H, mask).max(initial=0) for mask in masks]
+        out[0, span] = deg.max(axis=1)
+        low = deg.min(axis=1, initial=H.m + 1, where=deg > 0)  # H.m + 1: no edge survives
+        out[1, span] = np.where(low > H.m, 0, low)
+    return out
 
 
 def surviving_degrees(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
@@ -89,14 +162,18 @@ def surviving_pair_counts(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
     return np.bincount(pairs.edge_pair_ids[alive].ravel(), minlength=pairs.count)
 
 
+def codeg_holds(max_codeg: int, min_pos_deg: int, n: int) -> bool:
+    """Condition (4) on one trial's surviving edges: the max co-degree is at
+    most (min positive degree) / ln^3 n.  True when no pair survives."""
+    return not max_codeg or max_codeg <= min_pos_deg * math.log(n) ** -3
+
+
 def codegree_condition(H: Hypergraph, alive: np.ndarray, deg: np.ndarray) -> tuple[int, bool]:
     """Condition (4) for surviving edges ``alive`` with degrees ``deg``: the max
-    co-degree, and whether it is at most (min positive degree) / ln^3 n."""
+    co-degree, and whether :func:`codeg_holds`."""
     max_codeg = int(surviving_pair_counts(H, alive).max(initial=0))  # k = 1 has no pairs
-    if not max_codeg:
-        return 0, True
-    min_pos_deg = int(deg[deg > 0].min())
-    return max_codeg, max_codeg <= min_pos_deg * math.log(H.n) ** -3
+    min_pos_deg = int(deg[deg > 0].min()) if max_codeg else 0
+    return max_codeg, codeg_holds(max_codeg, min_pos_deg, H.n)
 
 
 def degree_cap(q: float, H: Hypergraph, profile: DegreeProfile, gamma_cap: float) -> float:

@@ -46,3 +46,25 @@ class TrialStream:
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         """``rows * cols`` uniforms reshaped row-major; row i is "round" i."""
         return self.generator().random((rows, cols))
+
+
+def uniform_block(master_seed: int, first: int, lane: int, count: int, n: int) -> np.ndarray:
+    """``count`` x ``n`` uniforms whose row t is
+    ``TrialStream(master_seed, first + t, lane).uniforms(n)``, bit for bit.
+
+    One ``Philox`` serves the whole block: each row sets its counter to the
+    trial's address and reuses the state of a fresh ``Philox``, whose output
+    buffer is empty, so no draw of one row leaks into the next.
+    """
+    for trial in (first, first + max(count, 1) - 1):
+        TrialStream(master_seed, trial, lane)  # raises as the trial's own stream would
+    bitgen = np.random.Philox(key=master_seed & _KEY_MASK)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]  # 64-bit words, least significant first
+    out = np.empty((count, n))
+    for t in range(count):
+        counter[2:] = first + t, lane
+        bitgen.state = state
+        gen.random(out=out[t])
+    return out

@@ -520,12 +520,16 @@ def test_budget_below_one_is_usage_error(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "disjoint", "--m", "5", "--k", "3"],
     ["gen", "--family", "random", "--n", "9", "--m", "5", "--k", "3", "--seed", "1"],
-], ids=["disjoint", "random"])
+    ["gen", "--family", "disjoint", "--m", "1", "--k", "1000"],
+    ["gen", "--family", "random", "--n", "1200", "--m", "2", "--k", "600", "--seed", "1"],
+], ids=["disjoint", "random", "disjoint-wide", "random-wide"])
 def test_gen_budget_bounds_edge_count(argv):
-    code, out, err = run(argv + ["--budget", "4"])
+    # the budget counts the m*k vertex ids of the edge list, so a large k alone exceeds it
+    size = int(argv[argv.index("--m") + 1]) * int(argv[argv.index("--k") + 1])
+    code, out, err = run(argv + ["--budget", str(size - 1)])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert run(argv + ["--budget", "5"])[0] == 0
+    assert run(argv + ["--budget", str(size)])[0] == 0
 
 
 def test_malformed_hgr_is_usage_error(tmp_path):
@@ -665,6 +669,18 @@ def test_allocation_failure_is_one_error_line(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes longer to import than the rest of the CLI together
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypertail.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(hypertail.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 @st.composite

@@ -94,11 +94,12 @@ def test_subgraph_budget_guard():
 
 
 def test_edge_budget_guards_disjoint_and_random():
+    # the budget counts the m*k = 15 vertex ids of the edge list
     with pytest.raises(BudgetError):
-        disjoint_edges(5, 3, budget=4)
+        disjoint_edges(5, 3, budget=14)
     with pytest.raises(BudgetError):
-        random_uniform(9, 5, 3, seed=1, budget=4)
-    assert disjoint_edges(5, 3, budget=5).m == random_uniform(9, 5, 3, seed=1, budget=5).m == 5
+        random_uniform(9, 5, 3, seed=1, budget=14)
+    assert disjoint_edges(5, 3, budget=15).m == random_uniform(9, 5, 3, seed=1, budget=15).m == 5
 
 
 def test_subgraph_requires_enough_vertices():

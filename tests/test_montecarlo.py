@@ -1,11 +1,17 @@
 import math
 import sys
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from hypertail import (
+    Hypergraph,
     NicenessParams,
     TrialConfig,
     TrialStream,
@@ -26,7 +32,15 @@ from hypertail import (
     z_identity_check,
 )
 from hypertail.core import degree_profile
-from hypertail.montecarlo import LANE_EXPOSURE, geometric_q_grid, run_exposure_campaign
+from hypertail.montecarlo import (
+    LANE_EXPOSURE,
+    LANE_P4,
+    LANE_TAIL,
+    P4GridPoint,
+    geometric_q_grid,
+    run_exposure_campaign,
+)
+from hypertail.percolation import codeg_trigger, degree_cap
 
 
 # --- Clopper-Pearson -------------------------------------------------------
@@ -317,15 +331,100 @@ def test_campaigns_do_not_depend_on_worker_count():
                 z_identity_check(complete(3), 6, 0.5, cfg),
                 z_identity_check(complete(3), 6, 0.5, cfg, conditioned_target=30),
                 check_degree_moment(H, state, schedule, cfg, vertices=15, continuations=200),
+                # 64-trial blocks: three blocks, the last partial, one per thread
+                verify_p4(H, params, [0.2, 0.3], replace(cfg, trials=130)),
+                edge_count_samples(H, 0.3, replace(cfg, trials=197)).tolist(),
             ))
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1]
-    evidence, (per_round, buckets), _, conditioned, moment = runs[0]
+    evidence, (per_round, buckets), _, conditioned, moment, *_ = runs[0]
     assert any(pt.codeg_violations for pt in evidence.points)  # condition (4) was evaluated
     assert any(buckets)
     assert conditioned.trials_conditioned == 30 < conditioned.trials_total
     assert len(moment.entries) >= 3  # one vertex per thread at least
+
+
+# --- 64-trial blocks against a per-trial reference ---------------------------
+
+
+def _reference_kept(H, q, cfg, lane, trial):
+    return TrialStream(cfg.master_seed, trial, lane).uniforms(H.n) < q
+
+
+def _reference_edge_counts(H, q, cfg):
+    return [
+        sum(all(kept[v] for v in e) for e in H.edges)
+        for kept in (_reference_kept(H, q, cfg, LANE_TAIL, t) for t in range(cfg.trials))
+    ]
+
+
+def _reference_p4(H, params, q_grid, cfg):
+    """verify_p4's grid points, recounted one trial at a time from the edge tuples."""
+    profile = degree_profile(H)
+    threshold = math.exp(-params.b * params.lam**2)
+    points = []
+    for qi, q in enumerate(q_grid):
+        cap = degree_cap(q, H, profile, params.gamma_cap)
+        trigger = codeg_trigger(params.p, q, H, profile)
+        dmaxes, cmaxes, bad_deg, bad_codeg = [], [], [], []
+        for t in range(cfg.trials):
+            kept = _reference_kept(H, q, cfg, LANE_P4, qi * cfg.trials + t)
+            alive = [e for e in H.edges if all(kept[v] for v in e)]
+            deg = Counter(v for e in alive for v in e)
+            codeg = Counter(pair for e in alive for pair in combinations(e, 2))
+            cmax = max(codeg.values(), default=0) if trigger else 0
+            dmaxes.append(max(deg.values(), default=0))
+            cmaxes.append(cmax)
+            bad_deg.append(dmaxes[-1] > cap)
+            bad_codeg.append(cmax > 0 and cmax > min(deg.values()) * math.log(H.n) ** -3)
+        viol = sum(d or c for d, c in zip(bad_deg, bad_codeg))
+        lo, hi = clopper_pearson(viol, cfg.trials, cfg.significance)
+        points.append(P4GridPoint(
+            q=q, trials=cfg.trials, deg_cap=cap, trigger=trigger, deg_violations=sum(bad_deg),
+            codeg_violations=sum(bad_codeg), violations=viol, point_estimate=viol / cfg.trials,
+            ci_low=lo, ci_high=hi, max_deg_seen=max(dmaxes), max_codeg_seen=max(cmaxes),
+            supported=viol == 0 and hi <= threshold,
+        ))
+    return tuple(points)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    subsets = list(combinations(range(n), k))
+    edges = draw(st.lists(st.sampled_from(subsets), max_size=20, unique=True)) if subsets else []
+    return Hypergraph(n, k, edges)
+
+
+@given(
+    H=small_hypergraphs(),
+    trials=st.sampled_from([1, 63, 64, 65, 130]),
+    workers=st.integers(1, 3),
+    seed=st.integers(0, 2**70),
+    p=st.sampled_from([1e-6, 0.05, 0.3]),
+    q_offsets=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=3),
+)
+@example(H=Hypergraph(1, 1, [(0,)]), trials=65, workers=2, seed=3, p=0.3, q_offsets=[0.4])
+@example(H=Hypergraph(5, 3, []), trials=1, workers=3, seed=3, p=0.3, q_offsets=[0.0])
+@example(H=subgraph_hypergraph(complete(3), 6), trials=130, workers=3, seed=5, p=0.1,
+         q_offsets=[0.2, 0.5])  # condition (4) triggered and violated
+@example(H=Hypergraph(3, 2, [(0, 1), (0, 2), (1, 2)]), trials=64, workers=1, seed=5, p=0.3,
+         q_offsets=[0.3])  # ln^-3 3 = 0.75: condition (4) holds at min degree 2, not at 1
+@example(H=Hypergraph(2, 2, [(0, 1)]), trials=64, workers=1, seed=5, p=0.8,
+         q_offsets=[0.1])  # ln^-3 2 = 3.0: condition (4) holds at min degree 1
+@example(H=Hypergraph(12, 3, list(combinations(range(12), 3))), trials=130, workers=1, seed=9,
+         p=0.05, q_offsets=[0.25])  # co-degrees up to 6, from sparse and from dense trials
+@example(H=Hypergraph(70_000, 2, [(0, 1), (1, 69_999), (5, 6)]), trials=65, workers=2, seed=7,
+         p=0.3, q_offsets=[0.5])  # a block drawn 14 rows at a time, across byte boundaries
+@settings(max_examples=60, deadline=None)
+def test_blocks_match_the_per_trial_reference(H, trials, workers, seed, p, q_offsets):
+    cfg = TrialConfig(master_seed=seed, trials=trials, workers=workers)
+    grid = [min(p + off, 0.95) for off in q_offsets]
+    assert edge_count_samples(H, grid[0], cfg).tolist() == _reference_edge_counts(H, grid[0], cfg)
+    params = NicenessParams(p=p, lam=1.0, gamma_cap=2.0, b=1)
+    assert verify_p4(H, params, grid, cfg).points == _reference_p4(H, params, grid, cfg)
 
 
 # --- chi-square two-sample -------------------------------------------------

@@ -24,6 +24,7 @@ from hypertail.percolation import (
     RoundState,
     codegree_sums,
     surviving_degrees,
+    surviving_edge_counts,
     surviving_edge_mask,
     surviving_pair_counts,
 )
@@ -104,6 +105,16 @@ def test_surviving_codegree_query():
         for v in range(u + 1, min(u + 3, H.n)):
             direct = sum(1 for e, edge in enumerate(H.edges) if state.alive[e] and u in edge and v in edge)
             assert codeg.get((u, v), 0) == direct
+
+
+@pytest.mark.parametrize("words", [0, 5, 40_000])  # 40 000 words take three bincount chunks
+def test_surviving_edge_counts_count_each_bit(words):
+    rng = np.random.default_rng(words)
+    alive = rng.integers(0, 1 << 64, size=words, dtype=np.uint64, endpoint=False)
+    alive[::3] = 0
+    alive[1::7] &= np.uint64(0x8000_0000_0000_0001)
+    bits = [int(((alive >> np.uint64(j)) & np.uint64(1)).sum()) for j in range(64)]
+    assert surviving_edge_counts(alive).tolist() == bits
 
 
 # --- schedules -----------------------------------------------------------
