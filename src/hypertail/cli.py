@@ -248,10 +248,9 @@ def _cmd_regime(args):
 
 def _cmd_oracle(args):
     H = hgr.read_hgr(args.infile)
-    pair_budget = args.budget or oracle.DEFAULT_PAIR_BUDGET
     result = {
         "expectation": oracle.exact_expectation(H, args.p),
-        "variance": oracle.exact_variance(H, args.p, pair_budget=pair_budget),
+        "variance": oracle.exact_variance(H, args.p, pair_budget=args.budget),
     }
     if args.dist:
         # --budget B allows 2^n <= B subsets

@@ -10,7 +10,7 @@ import numpy as np
 
 
 class BudgetError(RuntimeError):
-    """An enumeration or pair scan would exceed its configured budget."""
+    """An enumeration or variance profile would exceed its configured budget."""
 
 
 class InfeasibleError(RuntimeError):

@@ -373,8 +373,7 @@ def fit_subgaussian(
     if any(l <= 0 for l in lambdas):
         raise ValueError("lambda grid must be positive")
     if variance_source == "exact":
-        budget = oracle.DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
-        variance = oracle.exact_variance(H, p, pair_budget=budget)
+        variance = oracle.exact_variance(H, p, pair_budget=pair_budget)
         assumed = False
     elif variance_source == "plugin":
         # stand-in sqrt(E X); in-regime the true deviation scale is within a

@@ -1,14 +1,19 @@
 """Exact ground truth for the surviving-edge count: moments and full law.
 
-Everything here is brute force on purpose: these functions are the oracles
-the Monte Carlo estimators are tested against, so they must stay independent
-of the simulation code paths.
+These functions are the oracles the Monte Carlo estimators are tested
+against, so they stay independent of the simulation code paths.  The law is
+brute force over all 2^n vertex subsets.  The variance is an exact count: the
+edge-intersection profile gives how many edge pairs meet in each number of
+vertices, and the terms are summed without rounding error.  Its brute-force
+reference, a scan over every ordered pair of overlapping edges, lives in the
+tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from itertools import combinations
+from math import comb, fsum
 
 import numpy as np
 
@@ -47,31 +52,53 @@ def exact_expectation(H: Hypergraph, p: float) -> float:
     return p**H.k * H.m
 
 
-def exact_variance(H: Hypergraph, p: float, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
-    """Var(X) from pairwise union sizes.
+def intersection_profile(H: Hypergraph) -> tuple[int, ...]:
+    """(B_1, ..., B_{k-1}), where B_j ordered pairs of distinct edges meet in exactly j vertices.
 
-    Var(X) = sum_e (p^k - p^2k) + sum over ordered pairs of distinct edges of
-    (p^|e U e'| - p^2k).  Pairs of disjoint edges contribute 0, so only pairs
-    sharing a vertex are enumerated (via the incidence index).
+    A_i = sum over i-subsets T of d_T^2 counts ordered edge pairs (e, e), too,
+    weighted by the C(|e & e'|, i) i-subsets they share, so
+    A_i = sum_{j >= i} C(j, i) B_j with B_k = m (edges are distinct).  Each
+    A_i comes from sorting the m*C(k, i) i-subset rows and squaring their run
+    lengths; the triangular system is then solved from j = k - 1 down.
+    """
+    k, m = H.k, H.m
+    counts = [0] * (k + 1)
+    counts[k] = m
+    for i in range(k - 1, 0, -1):
+        rows = np.concatenate([H.edges_arr[:, cols] for cols in combinations(range(k), i)])
+        rows = rows[np.lexsort(rows.T[::-1])]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        runs = np.diff(np.r_[starts, len(rows)])
+        pairs = int(runs @ runs)  # <= m^2 C(k, i): fits int64 long before the rows fit in memory
+        counts[i] = pairs - sum(comb(j, i) * counts[j] for j in range(i + 1, k + 1))
+    return tuple(counts[1:k])
+
+
+def exact_variance(H: Hypergraph, p: float, pair_budget: int | None = None) -> float:
+    """Var(X) from the edge-intersection profile.
+
+    Var(X) = m (p^k - p^2k) + sum_j B_j (p^(2k-j) - p^2k), where B_j counts
+    ordered pairs of distinct edges meeting in exactly j vertices; disjoint
+    pairs contribute 0.  The terms are summed exactly as rationals with power
+    of two denominators and rounded once, so the result is the correctly
+    rounded sum of all m + sum_j B_j pairwise terms.  ``pair_budget``
+    (default DEFAULT_PAIR_BUDGET) caps m.
     """
     _check_p(p)
-    if H.m > pair_budget:
-        raise BudgetError(f"pairwise variance scan over m={H.m} exceeds budget {pair_budget}")
+    budget = DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
+    if H.m > budget:
+        raise BudgetError(f"variance profile over m={H.m} edges exceeds budget {budget}")
     k = H.k
     p2k = p ** (2 * k)
-    terms = [p**k - p2k] * H.m
-    edge_sets = [set(edge) for edge in H.edges]
-    for i, edge in enumerate(edge_sets):
-        overlapping = set()
-        for v in edge:
-            overlapping.update(H.incidence[v])
-        overlapping.discard(i)
-        for j in overlapping:
-            union = 2 * k - len(edge & edge_sets[j])
-            term = p**union - p2k
+    weighted = [(H.m, p**k - p2k)]
+    for j, pairs in enumerate(intersection_profile(H), start=1):
+        if pairs:
+            term = p ** (2 * k - j) - p2k
             assert term >= 0.0  # |e U e'| <= 2k forces nonnegative covariance
-            terms.append(term)
-    return fsum(terms)
+            weighted.append((pairs, term))
+    ratios = [(count, *term.as_integer_ratio()) for count, term in weighted]
+    denominator = max(den for _, _, den in ratios)  # every den is a power of two
+    return sum(count * num * (denominator // den) for count, num, den in ratios) / denominator
 
 
 def exact_distribution(

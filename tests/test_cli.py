@@ -489,7 +489,7 @@ def test_counts_below_their_minimum_are_one_error_line(tmp_path, monkeypatch, ar
 
 
 def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):
-    # 20000 edges is ample for the pair scan (m = 5), but 2^15 subsets exceed it
+    # 20000 edges is ample for the variance profile (m = 5), but 2^15 subsets exceed it
     path = tmp_path / "d.hgr"
     write_hgr(disjoint_edges(5, 3), path)
     code, out, err = run(["oracle", "--in", str(path), "--p", "0.3", "--dist", "--budget", "20000"])

@@ -1,8 +1,9 @@
+from fractions import Fraction
 from itertools import combinations
-from math import fsum
+from math import comb, fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertail import (
@@ -16,6 +17,7 @@ from hypertail import (
     random_uniform,
     subgraph_hypergraph,
 )
+from hypertail.oracle import intersection_profile
 
 TOL = 1e-12
 
@@ -35,6 +37,76 @@ def brute_force_moments(H, p):
     mean = fsum(x * pr for x, pr in probs.items())
     var = fsum(pr * (x - mean) ** 2 for x, pr in probs.items())
     return mean, var
+
+
+def brute_force_variance(H, p):
+    """The ordered pair scan exact_variance replaced, kept as its reference."""
+    k = H.k
+    p2k = p ** (2 * k)
+    terms = [p**k - p2k] * H.m
+    edge_sets = [set(edge) for edge in H.edges]
+    for i, edge in enumerate(edge_sets):
+        overlapping = set()
+        for v in edge:
+            overlapping.update(H.incidence[v])
+        overlapping.discard(i)
+        for j in overlapping:
+            union = 2 * k - len(edge & edge_sets[j])
+            term = p**union - p2k
+            assert term >= 0.0  # |e U e'| <= 2k forces nonnegative covariance
+            terms.append(term)
+    return fsum(terms)
+
+
+def brute_force_profile(H):
+    """B_1..B_{k-1} by meeting every ordered pair of distinct edges."""
+    profile = [0] * H.k
+    for e1 in H.edges:
+        for e2 in H.edges:
+            if e1 != e2:
+                profile[len(set(e1) & set(e2))] += 1
+    return tuple(profile[1:])
+
+
+@st.composite
+def hypergraphs(draw):
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 14))
+    edges = []
+    if n >= k:
+        edge = st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
+        edges = draw(st.lists(edge, max_size=60, unique_by=frozenset))
+    return Hypergraph(n=n, k=k, edges=[sorted(e) for e in edges])
+
+
+RETENTION = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    # p^2k underflows for every k <= 5, then p^k too, then p^(2k-j) near 1
+    st.sampled_from([1e-40, 1e-70, 1e-200, 5e-324, 1e-8, 1 - 1e-6, 1 - 2**-53]),
+)
+
+
+@given(hypergraphs(), RETENTION)
+@example(Hypergraph(n=1, k=3, edges=[]), 0.5)
+@example(Hypergraph(n=1, k=1, edges=[(0,)]), 0.3)
+@settings(max_examples=300, deadline=None)
+def test_variance_profile_matches_pair_scan(H, p):
+    assert intersection_profile(H) == brute_force_profile(H)
+    assert exact_variance(H, p) == brute_force_variance(H, p)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.77])
+def test_variance_triangles_in_k100_closed_form(p):
+    # m triangles of K_100's edges; two distinct triangles share at most one
+    # edge, and each of the C(N,2) edges lies in N-2 of them, so
+    # Var = m(p^3 - p^6) + C(N,2)(N-2)(N-3)(p^5 - p^6): 1.6e9 pairs to a scan
+    N = 100
+    H = subgraph_hypergraph(complete(3), N)
+    m = comb(N, 3)
+    assert H.m == m
+    assert intersection_profile(H) == (comb(N, 2) * (N - 2) * (N - 3), 0)
+    exact = m * Fraction(p**3 - p**6) + comb(N, 2) * (N - 2) * (N - 3) * Fraction(p**5 - p**6)
+    assert exact_variance(H, p, pair_budget=m) == float(exact)
 
 
 def test_expectation_examples():
