@@ -20,6 +20,7 @@ import numpy as np
 from .core import BudgetError, Hypergraph
 
 DEFAULT_PAIR_BUDGET = 20_000
+ROWS_PER_BUDGETED_EDGE = 64  # 2^6: every vertex of a 6-uniform edge shared
 DEFAULT_ENUMERATION_LIMIT = 22
 
 
@@ -52,24 +53,56 @@ def exact_expectation(H: Hypergraph, p: float) -> float:
     return p**H.k * H.m
 
 
-def intersection_profile(H: Hypergraph) -> tuple[int, ...]:
+def intersection_profile(H: Hypergraph, pair_budget: int | None = None) -> tuple[int, ...]:
     """(B_1, ..., B_{k-1}), where B_j ordered pairs of distinct edges meet in exactly j vertices.
 
     A_i = sum over i-subsets T of d_T^2 counts ordered edge pairs (e, e), too,
     weighted by the C(|e & e'|, i) i-subsets they share, so
-    A_i = sum_{j >= i} C(j, i) B_j with B_k = m (edges are distinct).  Each
-    A_i comes from sorting the m*C(k, i) i-subset rows and squaring their run
-    lengths; the triangular system is then solved from j = k - 1 down.
+    A_i = sum_{j >= i} C(j, i) B_j with B_k = m (edges are distinct).  A
+    subset with a vertex of degree 1 lies in one edge only, so
+    A_i = m C(k, i) + sum (d_T^2 - d_T) over the i-subsets T of each edge's
+    shared vertices (degree >= 2).  Those rows are sorted and their run
+    lengths squared; the triangular system is then solved from j = k - 1 down.
+
+    ``pair_budget`` (default DEFAULT_PAIR_BUDGET) caps m, and the subset rows,
+    counted as the sum over edges of 2^(shared vertices), at
+    ROWS_PER_BUDGETED_EDGE per budgeted edge.
     """
+    budget = DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
     k, m = H.k, H.m
+    if m > budget:
+        raise BudgetError(f"variance profile over m={m} edges exceeds budget {budget}")
+    shared = (np.bincount(H.edges_arr.ravel(), minlength=H.n) >= 2)[H.edges_arr]
+    sizes = np.count_nonzero(shared, axis=1)
+    by_size = np.bincount(sizes, minlength=k + 1).tolist()
+    rows_needed = sum(count << s for s, count in enumerate(by_size))
+    if rows_needed > ROWS_PER_BUDGETED_EDGE * budget:
+        raise BudgetError(
+            f"variance profile over {rows_needed} subset rows exceeds budget "
+            f"{ROWS_PER_BUDGETED_EDGE * budget} ({ROWS_PER_BUDGETED_EDGE} rows per budgeted edge)"
+        )
+    groups = {}  # groups[s]: the ascending shared vertices of the edges with s of them
+    for s in range(1, k + 1):
+        if by_size[s]:
+            pick = sizes == s
+            edges = H.edges_arr[pick]
+            groups[s] = edges if s == k else edges[shared[pick]].reshape(-1, s)
     counts = [0] * (k + 1)
     counts[k] = m
     for i in range(k - 1, 0, -1):
-        rows = np.concatenate([H.edges_arr[:, cols] for cols in combinations(range(k), i)])
-        rows = rows[np.lexsort(rows.T[::-1])]
-        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-        runs = np.diff(np.r_[starts, len(rows)])
-        pairs = int(runs @ runs)  # <= m^2 C(k, i): fits int64 long before the rows fit in memory
+        pieces = [
+            group[:, np.array(list(combinations(range(s), i)))].reshape(-1, i)
+            for s, group in groups.items()
+            if s >= i
+        ]
+        repeats = 0
+        if pieces:
+            rows = np.concatenate(pieces)
+            rows = rows[np.lexsort(rows.T[::-1])]
+            starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+            runs = np.diff(np.r_[starts, len(rows)])
+            repeats = int(runs @ runs) - len(rows)  # <= m len(rows): int64 outlasts memory
+        pairs = m * comb(k, i) + repeats
         counts[i] = pairs - sum(comb(j, i) * counts[j] for j in range(i + 1, k + 1))
     return tuple(counts[1:k])
 
@@ -79,26 +112,22 @@ def exact_variance(H: Hypergraph, p: float, pair_budget: int | None = None) -> f
 
     Var(X) = m (p^k - p^2k) + sum_j B_j (p^(2k-j) - p^2k), where B_j counts
     ordered pairs of distinct edges meeting in exactly j vertices; disjoint
-    pairs contribute 0.  The terms are summed exactly as rationals with power
-    of two denominators and rounded once, so the result is the correctly
-    rounded sum of all m + sum_j B_j pairwise terms.  ``pair_budget``
-    (default DEFAULT_PAIR_BUDGET) caps m.
+    pairs contribute 0.  The terms are summed exactly as rationals and
+    rounded once, so the result is the correctly rounded sum of all
+    m + sum_j B_j pairwise terms.  ``pair_budget`` is the profile's budget.
     """
+    from fractions import Fraction  # imports decimal: kept off the CLI's import path
+
     _check_p(p)
-    budget = DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
-    if H.m > budget:
-        raise BudgetError(f"variance profile over m={H.m} edges exceeds budget {budget}")
     k = H.k
     p2k = p ** (2 * k)
     weighted = [(H.m, p**k - p2k)]
-    for j, pairs in enumerate(intersection_profile(H), start=1):
+    for j, pairs in enumerate(intersection_profile(H, pair_budget), start=1):
         if pairs:
             term = p ** (2 * k - j) - p2k
             assert term >= 0.0  # |e U e'| <= 2k forces nonnegative covariance
             weighted.append((pairs, term))
-    ratios = [(count, *term.as_integer_ratio()) for count, term in weighted]
-    denominator = max(den for _, _, den in ratios)  # every den is a power of two
-    return sum(count * num * (denominator // den) for count, num, den in ratios) / denominator
+    return float(sum(count * Fraction(term) for count, term in weighted))
 
 
 def exact_distribution(

@@ -488,6 +488,21 @@ def test_counts_below_their_minimum_are_one_error_line(tmp_path, monkeypatch, ar
     assert code == 0 and json.loads(out)["result"]["entries"] == []
 
 
+def test_oracle_variance_of_long_edges_and_its_row_budget(tmp_path):
+    # a 40-vertex edge shares no vertex: its variance is one term, found at once
+    path = tmp_path / "d.hgr"
+    assert run(["gen", "--family", "disjoint", "--m", "1", "--k", "40", "--out", str(path)])[0] == 0
+    code, out, _ = run(["oracle", "--in", str(path), "--p", "0.3"])
+    assert code == 0
+    assert json.loads(out)["result"]["variance"] == 0.3**40 - 0.3**80
+    # the 9 edges of K8 on 9 vertices share every vertex: 9 * 2^8 subset rows > 64 * 30
+    write_hgr(Hypergraph(n=9, k=8, edges=list(combinations(range(9), 8))), path)
+    code, out, err = run(["oracle", "--in", str(path), "--p", "0.3", "--budget", "30"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "subset rows exceeds budget" in err
+    assert run(["oracle", "--in", str(path), "--p", "0.3", "--budget", "36"])[0] == 0
+
+
 def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):
     # 20000 edges is ample for the variance profile (m = 5), but 2^15 subsets exceed it
     path = tmp_path / "d.hgr"

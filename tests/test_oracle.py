@@ -95,6 +95,44 @@ def test_variance_profile_matches_pair_scan(H, p):
     assert exact_variance(H, p) == brute_force_variance(H, p)
 
 
+@st.composite
+def long_edges(draw):
+    """Edges of up to 40 vertices that share only a few: a small common core
+    plus private vertices, so each edge has its own number of shared ones."""
+    k = draw(st.integers(6, 40))
+    core = draw(st.integers(1, 8))
+    picks = draw(st.lists(st.sets(st.integers(0, core - 1), max_size=min(core, k - 1)), max_size=12))
+    edges, fresh = [], core
+    for pick in picks:
+        edges.append(sorted(pick) + list(range(fresh, fresh + k - len(pick))))
+        fresh += k - len(pick)
+    return Hypergraph(n=fresh, k=k, edges=edges)
+
+
+@given(long_edges(), RETENTION)
+@settings(max_examples=100, deadline=None)
+def test_variance_profile_matches_pair_scan_for_long_edges(H, p):
+    assert intersection_profile(H) == brute_force_profile(H)
+    assert exact_variance(H, p) == brute_force_variance(H, p)
+
+
+def test_variance_of_one_long_edge():
+    # no vertex is shared, so the profile enumerates no subsets at all
+    assert exact_variance(disjoint_edges(1, 40), 0.3) == 0.3**40 - 0.3**80
+    H = disjoint_edges(500, 40)
+    assert exact_variance(H, 0.3) == brute_force_variance(H, 0.3)
+
+
+def test_variance_budget_counts_subset_rows():
+    # K8 on 9 vertices: 9 edges whose 8 vertices are all shared, 9 * 2^8 = 2304 rows
+    H = Hypergraph(n=9, k=8, edges=list(combinations(range(9), 8)))
+    with pytest.raises(BudgetError, match="2304 subset rows exceeds budget 1920"):
+        exact_variance(H, 0.5, pair_budget=30)
+    assert exact_variance(H, 0.5, pair_budget=36) == brute_force_variance(H, 0.5)
+    with pytest.raises(BudgetError, match="subset rows exceeds budget"):
+        exact_variance(Hypergraph(n=21, k=20, edges=list(combinations(range(21), 20))), 0.5)
+
+
 @pytest.mark.parametrize("p", [0.01, 0.3, 0.77])
 def test_variance_triangles_in_k100_closed_form(p):
     # m triangles of K_100's edges; two distinct triangles share at most one
@@ -104,7 +142,7 @@ def test_variance_triangles_in_k100_closed_form(p):
     H = subgraph_hypergraph(complete(3), N)
     m = comb(N, 3)
     assert H.m == m
-    assert intersection_profile(H) == (comb(N, 2) * (N - 2) * (N - 3), 0)
+    assert intersection_profile(H, pair_budget=m) == (comb(N, 2) * (N - 2) * (N - 3), 0)
     exact = m * Fraction(p**3 - p**6) + comb(N, 2) * (N - 2) * (N - 3) * Fraction(p**5 - p**6)
     assert exact_variance(H, p, pair_budget=m) == float(exact)
 
