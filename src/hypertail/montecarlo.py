@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import oracle
 from .bounds import NicenessParams, degree_moment_bound
@@ -175,6 +174,8 @@ class ChiSquareResult:
 
 def clopper_pearson(successes: int, trials: int, significance: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval at level 1 - significance."""
+    from scipy import special  # slow to import: kept off the CLI's import path
+
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     alpha = significance

@@ -2,7 +2,10 @@
 
 These functions are the oracles the Monte Carlo estimators are tested
 against, so they stay independent of the simulation code paths.  The law is
-brute force over all 2^n vertex subsets.  The variance is an exact count: the
+an exact count over all 2^n vertex subsets, factored into a product of two
+0/1 matrices over the high and low halves of the subset bits: time
+O(m 2^n) in BLAS, memory O(2^n).  Its reference, one masked pass over every
+subset per edge, lives in the tests.  The variance is an exact count: the
 edge-intersection profile gives how many edge pairs meet in each number of
 vertices, and the terms are summed without rounding error.  Its brute-force
 reference, a scan over every ordered pair of overlapping edges, lives in the
@@ -22,6 +25,7 @@ from .core import BudgetError, Hypergraph
 DEFAULT_PAIR_BUDGET = 20_000
 ROWS_PER_BUDGETED_EDGE = 64  # 2^6: every vertex of a 6-uniform edge shared
 DEFAULT_ENUMERATION_LIMIT = 22
+CHUNK_ENTRIES = 1 << 20  # entries of the two 0/1 matrices per chunk of edges
 
 
 @dataclass(frozen=True)
@@ -130,31 +134,49 @@ def exact_variance(H: Hypergraph, p: float, pair_budget: int | None = None) -> f
     return float(sum(count * Fraction(term) for count, term in weighted))
 
 
+def _contains(subsets: np.ndarray, masks: np.ndarray, dtype) -> np.ndarray:
+    """The 0/1 matrix [s & mask == mask], subsets down and masks across."""
+    return ((subsets[:, None] & masks) == masks).astype(dtype)
+
+
 def exact_distribution(
     H: Hypergraph, p: float, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> ExactDistribution:
-    """Exact law of X by enumerating all 2^n vertex subsets.
+    """Exact law of X by counting the edges inside each of the 2^n vertex subsets.
 
-    Subsets are grouped by (edge count, subset size); the final probabilities
-    are compensated sums, keeping the result well inside 1e-12 of the exact
+    With S = hi * 2^l + lo for l = n // 2, edge e lies in S exactly when hi
+    holds e's high bits and lo its low bits, so the edge counts of all
+    subsets are the product of a 2^(n-l) x m and an m x 2^l 0/1 matrix.  The
+    product runs in float32, exact while every partial sum, an integer below
+    (m + 1)(n + 1), stays below 2^24, as it does for every n <= 22; otherwise
+    in float64.  It is summed over chunks of edges whose two matrices hold
+    CHUNK_ENTRIES entries together, so its working memory is O(2^n) whatever
+    m is.  Subsets are then grouped by (edge count, subset size) in one
+    bincount into an (m + 1) x (n + 1) table; the final probabilities are
+    compensated sums, keeping the result well inside 1e-12 of the exact
     moments.
     """
     _check_p(p)
     if H.n > limit:
         raise BudgetError(f"2^{H.n} enumeration exceeds limit n <= {limit}")
     n, m = H.n, H.m
-    subsets = np.arange(1 << n, dtype=np.uint64)
-    edge_count = np.zeros(1 << n, dtype=np.int64)
-    for edge in H.edges:
-        mask = np.uint64(sum(1 << v for v in edge))
-        edge_count += (subsets & mask) == mask
-    popcount = np.bitwise_count(subsets).astype(np.int64)
-    joint = np.zeros((m + 1, n + 1), dtype=np.int64)
-    np.add.at(joint, (edge_count, popcount), 1)
+    low = n // 2
+    lo, hi = np.arange(1 << low), np.arange(1 << (n - low))
+    masks = np.left_shift(1, H.edges_arr).sum(axis=1)
+    dtype = np.float32 if (m + 1) * (n + 1) <= 1 << 24 else np.float64
+    # key[hi, lo] = (n + 1) * (edges inside S) + |S|
+    key = np.add.outer(np.bitwise_count(hi), np.bitwise_count(lo)).astype(dtype)
+    chunk = max(1, CHUNK_ENTRIES // (hi.size + lo.size))
+    for start in range(0, m, chunk):
+        part = masks[start : start + chunk]
+        hi_holds = _contains(hi, part >> low, dtype)
+        lo_holds = _contains(lo, part & ((1 << low) - 1), dtype)
+        key += (n + 1) * hi_holds @ lo_holds.T
+    joint = np.bincount(key.astype(np.intp).ravel(), minlength=(m + 1) * (n + 1))
+    joint = joint.reshape(m + 1, n + 1)
     weight = [p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
     probabilities = {}
-    for x in range(m + 1):
+    for x in np.flatnonzero(joint.any(axis=1)).tolist():
         row = joint[x]
-        if row.any():
-            probabilities[x] = fsum(int(row[c]) * weight[c] for c in range(n + 1) if row[c])
+        probabilities[x] = fsum(int(row[c]) * weight[c] for c in range(n + 1) if row[c])
     return ExactDistribution(probabilities=probabilities)

@@ -152,3 +152,23 @@ def test_reader_matches_reference(text):
     assert (H is None) == (expected is None)
     if H is not None:
         assert (H.k, H.n, H.edges, H.incidence) == expected
+
+
+def _edges_or_message(n, k, rows):
+    try:
+        H = Hypergraph(n=n, k=k, edges=rows)
+    except ValueError as exc:
+        return str(exc)
+    return H.edges, H.incidence
+
+
+@given(raw_edge_lists(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_increasing_rows_match_the_sorting_path(case, lex_order):
+    # rows already strictly increasing skip the sorts; the same rows reversed
+    # (k >= 2) are sorted first, and both give the same edges or message
+    n, k, edges = case
+    rows = [sorted(edge) for edge in edges if len(edge) == k]
+    if lex_order:
+        rows.sort()
+    assert _edges_or_message(n, k, rows) == _edges_or_message(n, k, [row[::-1] for row in rows])

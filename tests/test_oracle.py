@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, fsum
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from hypertail import (
     random_uniform,
     subgraph_hypergraph,
 )
-from hypertail.oracle import intersection_profile
+from hypertail.oracle import CHUNK_ENTRIES, intersection_profile
 
 TOL = 1e-12
 
@@ -30,6 +31,27 @@ def brute_force_law(H, p):
         size = bin(mask).count("1")
         probs[x] = probs.get(x, 0.0) + p**size * (1 - p) ** (H.n - size)
     return probs
+
+
+def masked_pass_law(H, p):
+    """The per-edge masked pass over all 2^n subsets that exact_distribution
+    replaced, kept as its reference."""
+    n, m = H.n, H.m
+    subsets = np.arange(1 << n, dtype=np.uint64)
+    edge_count = np.zeros(1 << n, dtype=np.int64)
+    for edge in H.edges:
+        mask = np.uint64(sum(1 << v for v in edge))
+        edge_count += (subsets & mask) == mask
+    popcount = np.bitwise_count(subsets).astype(np.int64)
+    joint = np.zeros((m + 1, n + 1), dtype=np.int64)
+    np.add.at(joint, (edge_count, popcount), 1)
+    weight = [p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
+    probabilities = {}
+    for x in range(m + 1):
+        row = joint[x]
+        if row.any():
+            probabilities[x] = fsum(int(row[c]) * weight[c] for c in range(n + 1) if row[c])
+    return probabilities
 
 
 def brute_force_moments(H, p):
@@ -69,9 +91,9 @@ def brute_force_profile(H):
 
 
 @st.composite
-def hypergraphs(draw):
+def hypergraphs(draw, max_n=14):
     k = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 14))
+    n = draw(st.integers(1, max_n))
     edges = []
     if n >= k:
         edge = st.sets(st.integers(0, n - 1), min_size=k, max_size=k)
@@ -246,3 +268,28 @@ def test_distribution_matches_independent_enumeration(seed, p):
     assert set(dist.probabilities) == {x for x, pr in oracle.items() if pr}
     for x, pr in dist.probabilities.items():
         assert pr == pytest.approx(oracle[x], abs=1e-12)
+
+
+@given(hypergraphs(max_n=16), RETENTION)
+@example(Hypergraph(n=1, k=1, edges=[(0,)]), 0.3)  # no low bits
+@example(Hypergraph(n=1, k=3, edges=[]), 5e-324)
+@example(Hypergraph(n=16, k=2, edges=[]), 0.5)
+@example(Hypergraph(n=5, k=5, edges=[range(5)]), 1 - 2**-53)
+@example(Hypergraph(n=16, k=16, edges=[range(16)]), 0.3)
+@example(Hypergraph(n=15, k=5, edges=list(combinations(range(15), 5))[::50]), 0.7)
+@settings(max_examples=300, deadline=None)
+def test_distribution_equals_masked_pass(H, p):
+    law = exact_distribution(H, p).probabilities
+    assert list(law.items()) == list(masked_pass_law(H, p).items())
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.93])
+def test_distribution_of_complete_8_uniform_on_16_vertices(p):
+    # S holds C(|S|, 8) of the C(16, 8) edges, so P(X = x) sums C(16, s) p^s (1-p)^(16-s)
+    # over the s with C(s, 8) = x; the edges span several chunks
+    H = Hypergraph(n=16, k=8, edges=list(combinations(range(16), 8)))
+    assert H.m > CHUNK_ENTRIES // (2**8 + 2**8)
+    terms = {}
+    for s in range(17):
+        terms.setdefault(comb(s, 8), []).append(comb(16, s) * (p**s * (1 - p) ** (16 - s)))
+    assert exact_distribution(H, p).probabilities == {x: fsum(t) for x, t in terms.items()}
