@@ -14,6 +14,7 @@ import math
 import secrets
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -115,6 +116,24 @@ def _resolve_seed(args) -> tuple[int, bool]:
         return int(args.seed), False
     except ValueError as exc:
         raise UsageError(f"--seed must be an integer or 'auto', got {args.seed!r}") from exc
+
+
+@contextmanager
+def _blame_flag(flags: dict):
+    """Re-raise a float overflow or underflow naming the flag to change: of
+    ``flags`` (flag -> the values it gave), the one whose value lies most
+    orders of magnitude from 1."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        reach = [
+            (abs(math.log10(abs(v))) if v else math.inf, flag, v)
+            for flag, values in flags.items()
+            for v in values
+        ]
+        _, flag, value = max(reach)
+        message = f"{flag} {value} is out of double-precision range here ({type(exc).__name__})"
+        raise ArithmeticError(message) from None
 
 
 def _floats(text: str) -> list[float]:
@@ -234,14 +253,17 @@ def _cmd_nice(args):
 
 def _cmd_bound(args):
     H = hgr.read_hgr(args.infile)
-    mb = bounds.main_bound(stats_of(H), _niceness_params(args))
+    echo = _niceness_echo(args, ("p", "lambda", "gamma", "b", "bk"))  # main_bound's floats
+    with _blame_flag({f"--{key}": [value] for key, value in echo.items()}):
+        mb = bounds.main_bound(stats_of(H), _niceness_params(args))
     record_params = {"in": args.infile, **_niceness_echo(args)}
     return _record("bound", record_params, asdict(mb))
 
 
 def _cmd_regime(args):
     spec = _graph_spec(args)
-    reg = bounds.regime(spec, args.N, args.c1)
+    with _blame_flag({"--N": [args.N], "--c1": [args.c1]}):
+        reg = bounds.regime(spec, args.N, args.c1)
     params = {"family": args.family, "N": args.N, "c1": args.c1, "pattern": spec.label}
     return _record("regime", params, _result(reg, pattern=spec.label))
 
@@ -324,9 +346,10 @@ def _simulate_p4(args, H, cfg, params):
 
 def _simulate_subgaussian(args, H, cfg, params):
     lambdas = _floats(args.lambdas)
-    fit = montecarlo.fit_subgaussian(
-        H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
-    )
+    with _blame_flag({"--p": [args.p], "--lambdas": lambdas}):
+        fit = montecarlo.fit_subgaussian(
+            H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
+        )
     params.update(lambdas=lambdas, variance_source=args.variance_source)
     return _result(fit, drop=("lambdas",))
 

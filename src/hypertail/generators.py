@@ -77,21 +77,67 @@ def pair_unrank(idx: int) -> tuple[int, int]:
     return a, b
 
 
-def _copies(spec: GraphSpec, N: int):
-    """Yield the edge set of every distinct copy of the pattern inside K_N."""
+def _extend(prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each prefix row followed by every row of ``rows`` whose first entry
+    exceeds the prefix's last, in order.
+
+    ``rows`` are ascending rows in lexicographic order, so the rows that
+    follow one prefix are a suffix of them, found by binary search.
+    """
+    if rows.shape[1]:
+        starts = np.searchsorted(rows[:, 0], prefixes[:, -1], side="right")
+    else:  # the one empty row follows every prefix
+        starts = np.zeros(len(prefixes), dtype=np.int64)
+    counts = len(rows) - starts
+    picks = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return np.hstack([np.repeat(prefixes, counts, axis=0), rows[picks]])
+
+
+def _subsets(N: int, r: int) -> np.ndarray:
+    """The r-subsets of range(N) as ascending int64 rows, in the lexicographic
+    order of ``itertools.combinations``."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for t in range(1, r + 1):
+        # the last t entries of an r-subset: the first of them leaves room for r-t below
+        rows = _extend(np.arange(r - t, N, dtype=np.int64)[:, None], rows)
+    return rows
+
+
+def _colex(pairs) -> list[tuple[int, int]]:
+    """Pairs u < v in colexicographic order: the order of their pair ranks."""
+    return sorted(((min(u, v), max(u, v)) for u, v in pairs), key=lambda uv: uv[::-1])
+
+
+def _pattern_edges(spec: GraphSpec, N: int) -> np.ndarray:
+    """The (m, e_G) pair ids of every distinct copy of the pattern inside K_N,
+    each row ascending."""
     if spec.family == "complete":
         r = spec.parts[0]
-        for sub in combinations(range(N), r):
-            yield tuple(pair_rank(x, y) for x, y in combinations(sub, 2))
+        # every pair s_0 < s_1 in colex order (the pair_unrank of 0, 1, ...),
+        # each followed by every (r-2)-subset above it: ordered so, the rows of
+        # pair ranks come in lexicographic order and the constructor sorts nothing
+        upper = np.repeat(np.arange(N, dtype=np.int64), np.arange(N))
+        pairs = np.column_stack([np.arange(len(upper)) - upper * (upper - 1) // 2, upper])
+        sub = _extend(pairs, _subsets(N, r - 2))
+        positions = [_colex(combinations(range(r), 2))]
     else:
         a, b = spec.parts
-        for left in combinations(range(N), a):
-            left_set = set(left)
-            rest = [x for x in range(N) if x not in left_set]
-            for right in combinations(rest, b):
-                if a == b and left > right:
-                    continue  # unordered side pair: count each split once
-                yield tuple(pair_rank(x, y) for x in left for y in right)
+        sub = _subsets(N, a + b)
+        # every split of a copy's a+b vertices into a left and a right side; with
+        # equal sides the splits come in swapped pairs, so keep the one whose left
+        # side holds the copy's first vertex
+        lefts = [left for left in combinations(range(a + b), a) if a < b or left[0] == 0]
+        positions = [
+            _colex((u, v) for u in left for v in range(a + b) if v not in left) for left in lefts
+        ]
+    # positions[s][c]: the two positions in a copy's vertex row whose pair is
+    # the c-th smallest edge of split s
+    lo, hi = np.array(positions).transpose(2, 0, 1)
+    out = np.empty((len(sub), len(positions), spec.e_g), dtype=np.int64)
+    for c in range(spec.e_g):
+        top = sub[:, hi[:, c]]
+        out[:, :, c] = top * (top - 1) // 2 + sub[:, lo[:, c]]
+    return out.reshape(-1, spec.e_g)
 
 
 def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> Hypergraph:
@@ -108,7 +154,7 @@ def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATI
             m //= 2
     if m > budget:
         raise BudgetError(f"enumeration of {m} copies exceeds budget {budget}")
-    edges = list(_copies(spec, N))  # enumerate here, so traces charge it to this layer
+    edges = _pattern_edges(spec, N)  # enumerate here, so traces charge it to this layer
     return Hypergraph(n=comb(N, 2), k=spec.e_g, edges=edges)
 
 
@@ -123,7 +169,7 @@ def disjoint_edges(m_edges: int, k: int, budget: int = DEFAULT_ENUMERATION_BUDGE
     if m_edges < 1 or k < 1:
         raise ValueError("disjoint_edges needs m_edges >= 1 and k >= 1")
     _check_edge_budget(m_edges, k, budget)
-    edges = [tuple(range(i * k, (i + 1) * k)) for i in range(m_edges)]
+    edges = np.arange(m_edges * k, dtype=np.int64).reshape(m_edges, k)
     return Hypergraph(n=m_edges * k, k=k, edges=edges)
 
 
@@ -139,9 +185,8 @@ def random_uniform(
         raise InfeasibleError(f"cannot place {m} distinct {k}-sets on {n} vertices (max {total})")
     rng = np.random.default_rng(seed)
     if total <= min(budget, 10**6):
-        universe = list(combinations(range(n), k))
         picks = rng.choice(total, size=m, replace=False)
-        edges = [universe[i] for i in picks.tolist()]
+        edges = _subsets(n, k)[picks]
     else:
         edges = set()
         while len(edges) < m:

@@ -431,35 +431,37 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, comma
 K3_N5 = ["--in", "k3.hgr"]
 
 
-@pytest.mark.parametrize("argv, expected", [
+@pytest.mark.parametrize("argv, expected, flag", [
     # a float range overflows or underflows into a division by zero
-    (["bound", *K3_N5, "--p", "1e-300", "--lambda", "1", "--gamma", "1", "--b", "1"], 2),
-    (["regime", "--family", "complete", "--r", "3", "--N", "0", "--c1", "0.05"], 2),
-    (["regime", "--family", "complete", "--r", "3", "--N", "10", "--c1", "1e308"], 2),
+    (["bound", *K3_N5, "--p", "1e-300", "--lambda", "1", "--gamma", "1", "--b", "1"], 2, "--p 1e-300"),
+    (["regime", "--family", "complete", "--r", "3", "--N", "0", "--c1", "0.05"], 2, None),
+    (["regime", "--family", "complete", "--r", "3", "--N", "10", "--c1", "1e308"], 2, "--c1 1e+308"),
     (["simulate", "--task", "subgaussian", *K3_N5, "--p", "0.3", "--lambdas", "1e-300",
-      "--trials", "10", "--seed", "1"], 2),
+      "--trials", "10", "--seed", "1"], 2, "--lambdas 1e-300"),
     (["simulate", "--task", "subgaussian", *K3_N5, "--p", "0.3", "--lambdas", "1e300",
-      "--trials", "10", "--seed", "1"], 2),
+      "--trials", "10", "--seed", "1"], 2, "--lambdas 1e+300"),
     # a parameter outside its domain
     (["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10",
-      "--q", "1.5"], 1),
+      "--q", "1.5"], 1, None),
     (["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10",
-      "--q", "-0.5"], 1),
+      "--q", "-0.5"], 1, None),
     (["expose", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5", "--trials", "2",
-      "--seed", "1", "--lambda", "-1.0"], 1),
+      "--seed", "1", "--lambda", "-1.0"], 1, None),
     (["expose", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5", "--trials", "2",
-      "--seed", "1", "--lambda", "-2.5e-05"], 1),
+      "--seed", "1", "--lambda", "-2.5e-05"], 1, None),
     (["simulate", "--task", "deg-square-sum", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5",
-      "--trials", "2", "--seed", "1", "--gamma", "0"], 1),
+      "--trials", "2", "--seed", "1", "--gamma", "0"], 1, None),
 ], ids=["bound-tiny-p", "regime-N0", "regime-huge-c1", "subgaussian-tiny-lambda",
         "subgaussian-huge-lambda", "expected-q-above-1", "expected-q-negative",
         "expose-negative-lambda", "expose-negative-exponent-lambda", "deg-square-sum-zero-gamma"])
-def test_out_of_range_inputs_are_one_error_line(tmp_path, monkeypatch, argv, expected):
+def test_out_of_range_inputs_are_one_error_line(tmp_path, monkeypatch, argv, expected, flag):
     monkeypatch.chdir(tmp_path)
     write_hgr(subgraph_hypergraph(complete(3), 5), tmp_path / "k3.hgr")
     code, out, err = run(argv)
     assert (code, out) == (expected, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if flag is not None:  # a float overflow or underflow names the flag to change
+        assert flag in err
 
 
 ZCHECK = ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6", "--q", "0.5",
