@@ -9,6 +9,7 @@ Wall-clock timings go to stderr, never into records.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
@@ -550,9 +551,14 @@ def _add_flags(parser: _Parser, flags, required) -> _Parser:
     return parser
 
 
+@functools.cache
+def _only_parser(flags, required) -> _Parser:
+    return _add_flags(_Parser(), flags, required)
+
+
 def _parse_only(args, flags, required=()) -> None:
     """Parse the command's argv again with only ``flags``; any other is a usage error."""
-    _add_flags(_Parser(), flags, required).parse_args(args.argv[1:])
+    _only_parser(flags, required).parse_args(args.argv[1:])
 
 
 def build_parser() -> _Parser:
@@ -563,12 +569,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _command_parser() -> _Parser:
+    # built once: a parser is a web of reference cycles, and one per call
+    # left that garbage for the cyclic collector to free at unrelated times
+    return build_parser()
+
+
 def dispatch(argv=None, stdout=None, stderr=None) -> int:
     """Parse argv, run the subcommand, emit its record; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    parser = _command_parser()
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv, argparse.Namespace(argv=argv))

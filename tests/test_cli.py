@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -600,6 +601,32 @@ def test_wall_time_on_stderr_not_in_record(tmp_path):
     code, out, err = run(["oracle", "--in", str(path), "--p", "0.4"])
     assert "finished in" in err
     assert "time" not in json.loads(out)
+
+
+def test_dispatch_leaves_no_cyclic_garbage(tmp_path):
+    # what only the cyclic collector frees is freed whenever allocation counts
+    # trigger it; a parser built per call left ~800 such objects per command,
+    # and where they sat in the heap moved a long-lived process's peak RSS
+    path = tmp_path / "k3.hgr"
+    commands = [
+        ["gen", "--family", "complete", "--r", "3", "--N", "8", "--out", str(path)],
+        ["stats", "--in", str(path)],
+        ["bound", "--in", str(path), "--p", "0.2", "--lambda", "2", "--gamma", "10", "--b", "1"],
+        ["simulate", "--in", str(path), "--p", "0.2", "--task", "tail", "--thresholds", "2,4",
+         "--trials", "8", "--seed", "1"],
+        ["simulate", "--in", str(path), "--p", "0.05", "--task", "p4", "--p4-grid", "0.1,0.2",
+         "--trials", "8", "--seed", "1"],
+    ]
+    for argv in commands:  # build the parsers and finish lazy imports first
+        assert run(argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert run(argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_floats_serialized_with_17_digits(tmp_path):
