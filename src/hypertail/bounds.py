@@ -189,6 +189,11 @@ def mcdiarmid(t: float, lipschitz) -> float:
 
     If every coefficient is zero the function is constant: a positive
     deviation then has probability 0, which is returned with a warning.
+    t and the a_i are first divided by the largest power of two not above
+    max a_i.  The division is exact, so the bound keeps the bits of the
+    unscaled formula wherever t^2 and sum a_i^2 lie in double range, and
+    beyond that range the exponent under- or overflows only where its true
+    value does.
     """
     if t < 0:
         raise ValueError("deviation t must be >= 0")
@@ -197,8 +202,7 @@ def mcdiarmid(t: float, lipschitz) -> float:
         raise ValueError("at least one Lipschitz coefficient is required")
     if any(a < 0 for a in coeffs):
         raise ValueError("Lipschitz coefficients must be >= 0")
-    denom = math.fsum(a * a for a in coeffs)
-    if denom == 0.0:
+    if not any(coeffs):
         if t > 0:
             warnings.warn(
                 "all Lipschitz coefficients are zero: deviation is impossible",
@@ -206,6 +210,9 @@ def mcdiarmid(t: float, lipschitz) -> float:
             )
             return 0.0
         return 1.0
+    unit = math.ldexp(1.0, math.frexp(max(coeffs))[1] - 1)
+    t /= unit
+    denom = math.fsum((a / unit) * (a / unit) for a in coeffs)
     return min(1.0, 2.0 * math.exp(-2.0 * t * t / denom))
 
 

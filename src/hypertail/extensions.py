@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import NicenessParams
 from .core import BudgetError, InfeasibleError, degree_profile
-from .generators import GraphSpec, pair_rank, subgraph_hypergraph
+from .generators import GraphSpec, pair_rank, pair_unrank, subgraph_hypergraph
 from .montecarlo import LANE_EXTENSION, TrialConfig, _per_trial, clopper_pearson
 from .percolation import codeg_trigger, degree_cap
 from .rng import TrialStream
@@ -113,33 +113,17 @@ def build_rooted(spec: GraphSpec, root_count: int) -> RootedGraph:
     """
     if root_count not in (2, 3):
         raise ValueError("root_count must be 2 or 3")
-    if spec.v_g < root_count + 1:
+    n = spec.v_g
+    if n < root_count + 1:
         raise ValueError(f"{spec.label} has too few vertices for {root_count} roots")
     if spec.family == "complete":
-        r = spec.parts[0]
-        order = list(range(r))
-    else:
-        a, b = spec.parts
-        left = [("L", i) for i in range(a)]
-        right = [("R", i) for i in range(b)]
-        # roots: one endpoint per side, then (for 3 roots) the next vertex on
-        # the second root's side, i.e. a neighbour of the first root
-        order = [left[0], right[0]]
-        if root_count == 3:
-            if b < 2:
-                raise ValueError(f"{spec.label} has no third root adjacent to the first")
-            order.append(right[1])
-        order += [v for v in left + right if v not in order]
-    relabel = {v: i for i, v in enumerate(order)}
-    edges = set()
-    if spec.family == "complete":
-        for x, y in combinations(order, 2):
-            edges.add(tuple(sorted((relabel[x], relabel[y]))))
-    else:
-        for x in (v for v in order if v[0] == "L"):
-            for y in (v for v in order if v[0] == "R"):
-                edges.add(tuple(sorted((relabel[x], relabel[y]))))
-    return RootedGraph(vertex_count=spec.v_g, root_count=root_count, edges=frozenset(edges))
+        return rooted_graph(n, root_count, combinations(range(n), 2))
+    # root 0 is on the left side and the other roots on the right (a <= b and
+    # v_g > root_count leave b >= 2); the other a - 1 left vertices take the
+    # labels that follow the roots
+    a = spec.parts[0]
+    left = {0, *range(root_count, root_count + a - 1)}
+    return rooted_graph(n, root_count, ((x, y) for x in left for y in range(n) if y not in left))
 
 
 def is_balanced(rg: RootedGraph) -> bool:
@@ -167,41 +151,54 @@ def is_balanced(rg: RootedGraph) -> bool:
 def _scan_extensions(rg: RootedGraph, embedding: RootEmbedding, sample: GraphSample, induced: bool):
     """Enumerate valid labelings; returns (z_sets, z_labeled, embedded edge sets).
 
-    A backtracking search places y_1..y_s one at a time and checks each new
-    vertex only against the roots and the non-roots already placed.
+    A backtracking search places y_1..y_s one at a time.  The host vertices
+    that may carry the next label form one bitmask: the common neighbours of
+    the placed vertices the pattern joins to that label, less (when
+    ``induced``) the neighbours of the other placed vertices, less the placed
+    vertices themselves.
     """
     r, s = rg.root_count, rg.s
     if len(embedding.vertices) != r:
         raise ValueError(f"embedding carries {len(embedding.vertices)} roots, pattern has {r}")
+    if not all(0 <= v < sample.N for v in embedding.vertices):
+        raise ValueError(f"root vertices {embedding.vertices} are not all in [0, {sample.N})")
     if sample.N - r < s:
         raise ValueError("host graph has too few vertices outside the roots")
-    placed = list(embedding.vertices)  # host vertex of each label placed so far
+    nbrs = [0] * sample.N  # neighbours of each host vertex as a bitmask
+    for e in np.flatnonzero(sample.kept).tolist():
+        u, v = pair_unrank(e)
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    # for each non-root label, the earlier labels it is and is not joined to
+    joined = {y: [x for x in range(y) if rg.has_edge(x, y)] for y in range(r, rg.vertex_count)}
+    apart = {y: [x for x in range(y) if not rg.has_edge(x, y)] for y in joined}
+    edges = [e for e in rg.edges if e[1] >= r]
+    everyone = (1 << sample.N) - 1
+    placed = [int(v) for v in embedding.vertices]  # host vertex of each label placed so far
     vertex_sets, subgraphs = set(), set()
     z_labeled = 0
 
-    def fits(label: int, v: int) -> bool:
-        for a, u in enumerate(placed):
-            want, got = rg.has_edge(a, label), sample.has_edge(u, v)
-            if (want and not got) or (induced and got and not want):
-                return False
-        return True
-
-    def extend(label: int):
+    def extend(label: int, taken: int):
         nonlocal z_labeled
         if label == rg.vertex_count:
             z_labeled += 1
             vertex_sets.add(frozenset(placed[r:]))
-            subgraphs.add(
-                frozenset(tuple(sorted((placed[a], placed[b]))) for a, b in rg.edges if b >= r)
-            )
+            subgraphs.add(frozenset(tuple(sorted((placed[a], placed[b]))) for a, b in edges))
             return
-        for v in range(sample.N):
-            if v not in placed and fits(label, v):
-                placed.append(v)
-                extend(label + 1)
-                placed.pop()
+        mask = everyone & ~taken
+        for x in joined[label]:
+            mask &= nbrs[placed[x]]
+        if induced:
+            for x in apart[label]:
+                mask &= ~nbrs[placed[x]]
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            placed.append(bit.bit_length() - 1)
+            extend(label + 1, taken | bit)
+            placed.pop()
 
-    extend(r)
+    extend(r, sum(1 << v for v in placed))
     return len(vertex_sets), z_labeled, subgraphs
 
 
@@ -277,16 +274,16 @@ def z_identity_check(
 
     On trials where the root edge survives, its degree in the percolated
     subgraph-count hypergraph must equal the number of extensions, exactly.
-    Complete patterns use the deduplicated vertex-set count; bipartite
-    patterns compare against distinct embedded edge sets without induced
-    non-adjacency constraints, which is the count the identity is exact for.
+    The extensions are counted as copies: the distinct embedded edge sets,
+    with no non-adjacency constraint, over every root orientation.  This is
+    the count the identity is exact for; for complete patterns it equals the
+    number of extending vertex sets.
     """
     if conditioned_target is not None and conditioned_target < 1:
         raise ValueError(f"conditioned target must be >= 1, got {conditioned_target}")
     H = subgraph_hypergraph(spec, N)
     e1 = pair_rank(0, 1)
     rg = build_rooted(spec, 2)
-    induced = spec.family == "complete"
     # for asymmetric bipartite patterns a copy may place either endpoint of
     # the root edge on either side, so both root orientations are scanned
     orientations = [RootEmbedding(vertices=(0, 1))]
@@ -296,10 +293,7 @@ def z_identity_check(
 
     def trial(stream: TrialStream) -> tuple[int, bool, bool]:  # Z1, root edge kept, mismatch
         sample = sample_gnq(N, q, stream)
-        if induced:
-            z1 = count_extensions(rg, orientations[0], sample, induced=True).z_sets
-        else:
-            z1 = len(set().union(*(_scan_extensions(rg, r, sample, False)[2] for r in orientations)))
+        z1 = len(set().union(*(_scan_extensions(rg, r, sample, False)[2] for r in orientations)))
         hit = bool(sample.kept[e1])
         return z1, hit, hit and int(sample.kept[edge_arr].all(axis=1).sum()) != z1
 
@@ -323,12 +317,10 @@ def z_identity_check(
     conditioned, mismatches = sum(hits), sum(misses)
     zs = np.array(z_values, dtype=np.float64)
     stderr = float(zs.std(ddof=1) / math.sqrt(zs.size)) if zs.size > 1 else 0.0
-    if induced:
-        expected = expected_extensions(spec, 2, N, q)
-    else:
-        # monotone embedded-copy count: every image needs its t edges present
-        a, _ = spec.parts
-        expected = len(orientations) * comb(N - 2, rg.s) * comb(rg.s, a - 1) * q**rg.t
+    # every copy needs its t edges present; a bipartite non-root set extends
+    # through each side split of it
+    splits = 1 if spec.family == "complete" else comb(rg.s, spec.parts[0] - 1)
+    expected = len(orientations) * comb(N - 2, rg.s) * splits * q**rg.t
     return ZIdentityReport(
         spec_label=spec.label,
         N=N,
@@ -386,17 +378,16 @@ def extension_cap_check(
     rg1 = build_rooted(spec, 2)
     rg2 = build_rooted(spec, 3) if spec.v_g >= 4 else None
     cap = degree_cap(q, H, profile, params.gamma_cap)
-    induced = spec.family == "complete"
     z2_on = trigger and rg2 is not None
 
     def trial(stream: TrialStream) -> tuple[bool, bool]:  # whether Z1, Z2 break their caps
         gen = stream.generator()
         roots = tuple(int(x) for x in gen.choice(N, size=3, replace=False))
         sample = GraphSample(N=N, kept=gen.random(comb(N, 2)) < q)
-        z1 = count_extensions(rg1, RootEmbedding(roots[:2]), sample, induced=induced).z_sets
+        z1 = count_extensions(rg1, RootEmbedding(roots[:2]), sample, induced=False).z_sets
         if not z2_on:
             return z1 > cap, False
-        z2 = count_extensions(rg2, RootEmbedding(roots), sample, induced=induced).z_sets
+        z2 = count_extensions(rg2, RootEmbedding(roots), sample, induced=False).z_sets
         return z1 > cap, z2 > z1 * log_n**-4
 
     z1_viol, z2_viol = map(sum, zip(*_per_trial(cfg, LANE_EXTENSION, trial)))

@@ -48,6 +48,9 @@ def test_mcdiarmid_power_of_two_scaling_is_exact():
     base = mcdiarmid(1.7, [0.3, 1.1, 0.9])
     assert mcdiarmid(2 * 1.7, [0.6, 2.2, 1.8]) == base
     assert mcdiarmid(0.25 * 1.7, [0.075, 0.275, 0.225]) == base
+    # far enough that t^2 and sum a_i^2 leave double range while their ratio stays
+    for scale in (2.0**600, 2.0**-600):
+        assert mcdiarmid(scale * 1.7, [scale * a for a in (0.3, 1.1, 0.9)]) == base
 
 
 @given(st.floats(min_value=0.01, max_value=50), st.floats(min_value=0.01, max_value=50))

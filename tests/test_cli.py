@@ -226,6 +226,19 @@ def test_mcdiarmid_record():
     assert record["result"]["bound"] == pytest.approx(0.2706705664732254)
 
 
+@pytest.mark.parametrize(
+    "t,lipschitz,bound",
+    [("1e-201", "1e-200", 1.0), ("1e200", "1e200", 0.2706705664732254)],
+)
+def test_mcdiarmid_record_outside_double_range(t, lipschitz, bound):
+    # t^2 and a^2 underflow (overflow) a double; t/a = 0.1 (1) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(["mcdiarmid", "--t", t, "--lipschitz", lipschitz])
+    assert code == 0
+    assert json.loads(out)["result"]["bound"] == pytest.approx(bound, rel=1e-12)
+
+
 def test_simulate_tail_replay_byte_identical(tmp_path):
     path = tmp_path / "d.hgr"
     run(["gen", "--family", "disjoint", "--m", "50", "--k", "3", "--out", str(path)])

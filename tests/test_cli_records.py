@@ -77,6 +77,9 @@ CASES = {
     "ext-caps": ["ext", "--task", "caps", "--family", "complete", "--r", "3", "--N", "7",
                  "--p", "0.2", "--q", "0.5", "--lambda", "2", "--gamma", "1000", "--b", "1",
                  "--trials", "30", "--seed", "15"],
+    "ext-caps-three-roots": ["ext", "--task", "caps", "--family", "complete", "--r", "4",
+                             "--N", "8", "--p", "0.2", "--q", "0.5", "--lambda", "2",
+                             "--gamma", "4", "--b", "1", "--trials", "60", "--seed", "3"],
 }
 
 DIGESTS = {
@@ -84,6 +87,7 @@ DIGESTS = {
     "expose": "23068ceccf5ed01aaa5ecb62a9bec64563ec5d3702a07a207f03b4df47875d2c",
     "ext-balanced": "69cd01a1b9369ee20e49e4f91b6350b7b75ea65ed6a91cb5251209ea01fb9870",
     "ext-caps": "db5b2e6ef1b9ee65a83936250a31dddff1684b68195eae126c954c1e143e96ef",
+    "ext-caps-three-roots": "aca5499888ae00b02ae03b2a8e3f2a71ae806e5dcf3b907ce4a6aed6cdbc904c",
     "ext-expected": "15ac680bcf94a7b19fafde9ce0decc601886d7a5958429a05add7c6253ae179c",
     "ext-zcheck-bipartite": "6fab2b11416ec03f0b491e7c0f1f6e82c432877ad2f459a118b90237facf9d6e",
     "ext-zcheck-complete": "5ae60500bc8f083c834307578d0fa6a90d7d5b35f2ffc1bf7c7e0b3e8c5f0e4c",

@@ -24,7 +24,7 @@ from hypertail import (
     subgraph_hypergraph,
     z_identity_check,
 )
-from hypertail.extensions import GraphSample
+from hypertail.extensions import ExtensionCapReport, GraphSample, RootedGraph
 from hypertail.montecarlo import LANE_EXTENSION
 
 
@@ -81,6 +81,52 @@ def test_build_rooted_rejects_too_small():
         build_rooted(complete(3), 3)  # would leave no non-root vertex
     with pytest.raises(ValueError):
         build_rooted(complete(2), 2)
+
+
+def reference_build_rooted(spec, root_count):
+    """Root a pattern by naming its vertices by side, ordering the roots
+    first, then relabelling that order to 0..v-1."""
+    if root_count not in (2, 3):
+        raise ValueError("root_count must be 2 or 3")
+    if spec.v_g < root_count + 1:
+        raise ValueError("too few vertices")
+    if spec.family == "complete":
+        order = list(range(spec.parts[0]))
+    else:
+        a, b = spec.parts
+        left = [("L", i) for i in range(a)]
+        right = [("R", i) for i in range(b)]
+        order = [left[0], right[0]]
+        if root_count == 3:
+            if b < 2:
+                raise ValueError("no third root adjacent to the first")
+            order.append(right[1])
+        order += [v for v in left + right if v not in order]
+    relabel = {v: i for i, v in enumerate(order)}
+    edges = set()
+    if spec.family == "complete":
+        for x, y in combinations(order, 2):
+            edges.add(tuple(sorted((relabel[x], relabel[y]))))
+    else:
+        for x in (v for v in order if v[0] == "L"):
+            for y in (v for v in order if v[0] == "R"):
+                edges.add(tuple(sorted((relabel[x], relabel[y]))))
+    return RootedGraph(vertex_count=spec.v_g, root_count=root_count, edges=frozenset(edges))
+
+
+@pytest.mark.parametrize("roots", [2, 3])
+def test_build_rooted_equals_reference(roots):
+    # K2 and K{1,1} are rejected at both root counts, K3, K{1,2} at 3 roots
+    specs = [complete(r) for r in range(2, 7)]
+    specs += [complete_bipartite(a, b) for a in range(1, 9) for b in range(a, 10 - a)]
+    for spec in specs:
+        try:
+            want = reference_build_rooted(spec, roots)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_rooted(spec, roots)
+            continue
+        assert build_rooted(spec, roots) == want, spec.label
 
 
 # --- balancedness ----------------------------------------------------------
@@ -180,6 +226,8 @@ def test_extensions_labeled_factorial_identity_for_complete():
     for trial in range(15):
         sample = sample_gnq(8, 0.6, TrialStream(89, trial))
         count = count_extensions(rg, RootEmbedding((0, 3)), sample)
+        # no pattern non-edge outside the roots: copies are induced copies
+        assert count_extensions(rg, RootEmbedding((0, 3)), sample, induced=False) == count
         assert count.z_labeled == count.z_sets * 2
         assert count.z_subgraphs == count.z_sets
         assert count.z_sets <= comb(8 - 2, 2)
@@ -235,12 +283,26 @@ def test_extensions_match_brute_force(spec, roots, induced, data):
     )
 
 
+def test_extensions_numpy_roots_beyond_64_host_vertices():
+    # the scan keeps host vertex sets as Python-int bitmasks; a numpy root id
+    # would shift within 64 bits and let root 1 carry a second label
+    rg = build_rooted(complete_bipartite(2, 2), 2)
+    sample = full_sample(70)
+    count = count_extensions(rg, RootEmbedding((np.int64(0), np.int64(65))), sample, False)
+    assert count == count_extensions(rg, RootEmbedding((0, 65)), sample, False)
+    assert count.z_labeled == 68 * 67
+
+
 def test_extensions_validation():
     rg = build_rooted(complete(4), 2)
     with pytest.raises(ValueError):
         count_extensions(rg, RootEmbedding((0, 1, 2)), full_sample(6))
     with pytest.raises(ValueError):
         count_extensions(rg, RootEmbedding((0, 1)), full_sample(3))
+    # root ids outside the host graph's [0, N)
+    for roots in ((-1, 0), (0, 9)):
+        with pytest.raises(ValueError):
+            count_extensions(build_rooted(complete(3), 2), RootEmbedding(roots), full_sample(6))
 
 
 # --- expected_extensions ---------------------------------------------------
@@ -385,6 +447,22 @@ def test_extension_cap_does_not_depend_on_worker_count():
     )
     assert a == b
     assert a.z2_checked == 20 and a.z2_violations > 0
+
+
+def test_extension_cap_bipartite_report_is_pinned():
+    # bipartite caps cannot run from the CLI (`ext` stores --b-side and --b
+    # in one field), so this report, captured from a known-good build, is
+    # pinned here
+    params = NicenessParams(p=0.2, lam=2, gamma_cap=4.0, b=1)
+    report = extension_cap_check(
+        complete_bipartite(2, 3), 8, 0.2, 0.5, params, TrialConfig(master_seed=5, trials=60)
+    )
+    assert report == ExtensionCapReport(
+        spec_label="K{2,3}", N=8, p=0.2, q=0.5, trials=60, trigger=True, z1_cap=7.5,
+        z1_violations=4, z1_ci=(0.011427298514927176, 0.19534347347277684),
+        z2_checked=60, z2_violations=36, z2_ci=(0.4262024548007906, 0.7575260048690783),
+        threshold=0.054946916666202536, supported=False,
+    )
 
 
 def report_fields_defined(report):
