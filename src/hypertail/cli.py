@@ -15,6 +15,7 @@ import math
 import secrets
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 
@@ -584,9 +585,11 @@ def dispatch(argv=None, stdout=None, stderr=None) -> int:
     parser = _command_parser()
     started = time.perf_counter()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(argv=argv))
-        _apply_config(args, _load_config(args.config))
-        output = args.handler(args)
+        # the filters in force still apply; a shown warning is kept for stderr
+        with warnings.catch_warnings(record=True) as caught:
+            args = parser.parse_args(argv, argparse.Namespace(argv=argv))
+            _apply_config(args, _load_config(args.config))
+            output = args.handler(args)
         if isinstance(output, dict):
             output = _dump(output) + "\n"
             if args.out and args.command != "gen":
@@ -600,6 +603,8 @@ def dispatch(argv=None, stdout=None, stderr=None) -> int:
     except (BudgetError, InfeasibleError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=stderr)
         return 2
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=stderr)
     elapsed = time.perf_counter() - started
     print(f"# {args.command} finished in {elapsed:.3f}s", file=stderr)
     return 0

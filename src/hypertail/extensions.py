@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -80,6 +81,17 @@ class GraphSample:
 
     def has_edge(self, a: int, b: int) -> bool:
         return bool(self.kept[pair_rank(a, b)])
+
+    @cached_property
+    def nbrs(self) -> list[int]:
+        """Each vertex's neighbours as a bitmask: bit v of entry u is set when
+        edge uv is kept."""
+        nbrs = [0] * self.N
+        for e in np.flatnonzero(self.kept).tolist():
+            u, v = pair_unrank(e)
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        return nbrs
 
 
 @dataclass(frozen=True)
@@ -155,7 +167,8 @@ def _scan_extensions(rg: RootedGraph, embedding: RootEmbedding, sample: GraphSam
     that may carry the next label form one bitmask: the common neighbours of
     the placed vertices the pattern joins to that label, less (when
     ``induced``) the neighbours of the other placed vertices, less the placed
-    vertices themselves.
+    vertices themselves.  The neighbour masks are the sample's
+    :attr:`GraphSample.nbrs`, so scans of one sample build them once.
     """
     r, s = rg.root_count, rg.s
     if len(embedding.vertices) != r:
@@ -164,11 +177,7 @@ def _scan_extensions(rg: RootedGraph, embedding: RootEmbedding, sample: GraphSam
         raise ValueError(f"root vertices {embedding.vertices} are not all in [0, {sample.N})")
     if sample.N - r < s:
         raise ValueError("host graph has too few vertices outside the roots")
-    nbrs = [0] * sample.N  # neighbours of each host vertex as a bitmask
-    for e in np.flatnonzero(sample.kept).tolist():
-        u, v = pair_unrank(e)
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
+    nbrs = sample.nbrs
     # for each non-root label, the earlier labels it is and is not joined to
     joined = {y: [x for x in range(y) if rg.has_edge(x, y)] for y in range(r, rg.vertex_count)}
     apart = {y: [x for x in range(y) if not rg.has_edge(x, y)] for y in joined}

@@ -439,14 +439,17 @@ def check_degree_moment(
         size = min(vertices, survivors.size)
         vertices = sorted(picker.choice(survivors, size=size, replace=False).tolist())
     for v in vertices:
+        if not 0 <= v < H.n:
+            raise ValueError(f"vertex {v} is not in [0, {H.n})")
         if not state.kept[v]:
             raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
     if not vertices:
         return DegreeMomentReport(entries=(), epsilon=eps, eta=state.eta)
+    alive, deg = state.alive, state.deg  # derived here, not first in a worker thread
 
     def trial(stream: TrialStream) -> DegreeMomentEntry:
         v = vertices[stream.trial - 1]
-        live_edges = [e for e in H.incidence[v] if state.alive[e]]
+        live_edges = [e for e in H.incidence[v] if alive[e]]
         others = sorted({u for e in live_edges for u in H.edges[e] if u != v})
         pos = {u: j + 1 for j, u in enumerate(others)}  # v sits at column 0
         kept_next = stream.uniform_matrix(continuations, 1 + len(others)) < eps
@@ -461,10 +464,10 @@ def check_degree_moment(
         vals = deg_next.astype(np.float64) ** 2
         estimate = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(continuations)) if continuations > 1 else 0.0
-        bound = degree_moment_bound(int(state.deg[v]), H.k, state.eta, eps)
+        bound = degree_moment_bound(int(deg[v]), H.k, state.eta, eps)
         return DegreeMomentEntry(
             vertex=int(v),
-            deg=int(state.deg[v]),
+            deg=int(deg[v]),
             estimate=estimate,
             stderr=stderr,
             bound=bound,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,24 +39,38 @@ class ExposureSchedule:
             raise ValueError("epsilon^rounds does not reproduce p to 1e-12 relative error")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundState:
-    """Survivors and degree statistics after round ``index`` of the chain.
+    """The survivors ``kept`` of H's vertices after round ``index`` of the chain.
 
-    ``alive`` flags the edges whose k vertices all survive.  ``codeg_trigger``
-    records whether this round is in the regime where the co-degree smallness
-    condition is switched on, and ``eta`` is the matching pair-overlap factor
-    (k / ln^3 n when triggered, else 1).
+    ``codeg_trigger`` records whether this round is in the regime where the
+    co-degree smallness condition is switched on, and ``eta`` is the matching
+    pair-overlap factor (k / ln^3 n when triggered, else 1).  The edge and
+    degree statistics derive from ``kept``, each once, on first use.
     """
 
+    H: Hypergraph
     index: int
     kept: np.ndarray
-    alive: np.ndarray
-    edge_count: int
-    deg: np.ndarray
-    deg_sq_sum: int
     codeg_trigger: bool
     eta: float
+
+    @cached_property
+    def alive(self) -> np.ndarray:
+        """Flags the edges whose k vertices all survive."""
+        return surviving_edge_mask(self.H, self.kept)
+
+    @cached_property
+    def edge_count(self) -> int:
+        return int(self.alive.sum())
+
+    @cached_property
+    def deg(self) -> np.ndarray:
+        return surviving_degrees(self.H, self.alive)
+
+    @cached_property
+    def deg_sq_sum(self) -> int:
+        return int((self.deg**2).sum())
 
 
 @dataclass(frozen=True)
@@ -168,14 +183,6 @@ def codeg_holds(max_codeg: int, min_pos_deg: int, n: int) -> bool:
     return not max_codeg or max_codeg <= min_pos_deg * math.log(n) ** -3
 
 
-def codegree_condition(H: Hypergraph, alive: np.ndarray, deg: np.ndarray) -> tuple[int, bool]:
-    """Condition (4) for surviving edges ``alive`` with degrees ``deg``: the max
-    co-degree, and whether :func:`codeg_holds`."""
-    max_codeg = int(surviving_pair_counts(H, alive).max(initial=0))  # k = 1 has no pairs
-    min_pos_deg = int(deg[deg > 0].min()) if max_codeg else 0
-    return max_codeg, codeg_holds(max_codeg, min_pos_deg, H.n)
-
-
 def degree_cap(q: float, H: Hypergraph, profile: DegreeProfile, gamma_cap: float) -> float:
     """Condition (3)'s cap on surviving degrees at retention q: max{2 q^(k-1) Delta, Gamma}."""
     return max(2.0 * q ** (H.k - 1) * profile.max_degree, gamma_cap)
@@ -245,25 +252,6 @@ def build_schedule(
     )
 
 
-def _round_state(
-    H: Hypergraph, schedule: ExposureSchedule, profile: DegreeProfile, index: int, kept: np.ndarray
-) -> RoundState:
-    alive = surviving_edge_mask(H, kept)
-    deg = surviving_degrees(H, alive)
-    trigger = codeg_trigger(schedule.p, schedule.epsilon**index, H, profile)
-    eta = H.k * math.log(H.n) ** -3 if trigger else 1.0
-    return RoundState(
-        index=index,
-        kept=kept,
-        alive=alive,
-        edge_count=int(alive.sum()),
-        deg=deg,
-        deg_sq_sum=int((deg**2).sum()),
-        codeg_trigger=trigger,
-        eta=eta,
-    )
-
-
 def codeg_trigger(p: float, q: float, H: Hypergraph, profile: DegreeProfile) -> bool:
     """Whether the co-degree condition is switched on at retention level q:
     p^(1/2) * q^(k-3/2) * max_degree^2 * n * ln n >= m."""
@@ -287,10 +275,13 @@ def run_exposure(
         profile = degree_profile(H)
     uniforms = stream.uniform_matrix(schedule.rounds, H.n)
     kept = np.ones(H.n, dtype=bool)
-    states = [_round_state(H, schedule, profile, 0, kept)]
-    for i in range(1, schedule.rounds + 1):
-        kept = kept & (uniforms[i - 1] < schedule.epsilon)
-        states.append(_round_state(H, schedule, profile, i, kept))
+    states = []
+    for i in range(schedule.rounds + 1):
+        if i:
+            kept = kept & (uniforms[i - 1] < schedule.epsilon)
+        trigger = codeg_trigger(schedule.p, schedule.epsilon**i, H, profile)
+        eta = H.k * math.log(H.n) ** -3 if trigger else 1.0
+        states.append(RoundState(H=H, index=i, kept=kept, codeg_trigger=trigger, eta=eta))
     return states
 
 
@@ -333,8 +324,11 @@ def check_preconditions(
     deg_cap = max(2 * eps ** ((k - 1) * i) * delta_max, gamma_cap)
     holds_cap = int(state.deg.max()) <= deg_cap
 
-    triggered = state.codeg_trigger and state.edge_count
-    holds_codeg = not triggered or codegree_condition(H, state.alive, state.deg)[1]
+    holds_codeg = True
+    if state.codeg_trigger and state.edge_count:  # so some degree is positive
+        deg = state.deg
+        max_codeg = int(surviving_pair_counts(H, state.alive).max(initial=0))  # k = 1: no pairs
+        holds_codeg = codeg_holds(max_codeg, int(deg[deg > 0].min()), n)
 
     t1 = (p**k * m) ** -0.5 * eps ** (k * (i + 1)) * m + (1 - eps) * lam * math.sqrt(
         eps ** ((k + 1) * (i + 1)) * m / p
@@ -357,6 +351,8 @@ def check_preconditions(
 def lipschitz_bound(H: Hypergraph, state: RoundState, v: int) -> int:
     """Worst-case change of the next round's degree-square sum when vertex v's
     retention outcome is flipped: deg(v)^2 + 4 * sum_u codeg(u, v) * deg(u)."""
+    if not 0 <= v < H.n:
+        raise ValueError(f"vertex {v} is not in [0, {H.n})")
     if not state.kept[v]:
         raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
     codeg: dict[int, int] = {}

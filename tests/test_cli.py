@@ -226,6 +226,15 @@ def test_mcdiarmid_record():
     assert record["result"]["bound"] == pytest.approx(0.2706705664732254)
 
 
+def test_warnings_go_to_the_given_stderr_each_call():
+    for _ in range(2):  # a warning shown once per process would be missing the second time
+        code, out, err = run(["mcdiarmid", "--t", "1", "--lipschitz", "0,0"])
+        assert code == 0 and json.loads(out)["result"]["bound"] == 0
+        lines = err.splitlines()
+        assert lines[0] == "warning: all Lipschitz coefficients are zero: deviation is impossible"
+        assert len(lines) == 2 and lines[1].startswith("# mcdiarmid finished in ")
+
+
 @pytest.mark.parametrize(
     "t,lipschitz,bound",
     [("1e-201", "1e-200", 1.0), ("1e200", "1e200", 0.2706705664732254)],

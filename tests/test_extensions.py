@@ -194,6 +194,20 @@ def empty_sample(N):
     return GraphSample(N=N, kept=np.zeros(comb(N, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("N,q", [(2, 0.5), (7, 0.3), (12, 0.6)])
+def test_sample_neighbour_masks_match_has_edge(N, q):
+    for trial in range(5):
+        sample = sample_gnq(N, q, TrialStream(97, trial))
+        nbrs = sample.nbrs
+        assert sample.nbrs is nbrs  # built once
+        for u in range(N):
+            assert not nbrs[u] >> u & 1
+            assert nbrs[u] >> N == 0
+            for v in range(N):
+                if v != u:
+                    assert bool(nbrs[u] >> v & 1) == sample.has_edge(u, v)
+
+
 def test_extensions_complete_host_triangle():
     rg = build_rooted(complete(3), 2)
     for N in (5, 8, 11):

@@ -267,6 +267,16 @@ def test_degree_moment_disjoint_unit_degree_closed_form():
     assert report.holds
 
 
+@pytest.mark.parametrize("v", [-1, 15])  # n = 15
+def test_degree_moment_rejects_vertex_outside_range(v):
+    H = disjoint_edges(5, 3)
+    schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
+    state = run_exposure(H, schedule, TrialStream(1, 0))[0]
+    cfg = TrialConfig(master_seed=1, trials=1)
+    with pytest.raises(ValueError, match=f"vertex {v} is not in \\[0, 15\\)"):
+        check_degree_moment(H, state, schedule, cfg, vertices=[v], continuations=10)
+
+
 def test_degree_moment_zero_degree_vertex_trivial():
     H = disjoint_edges(3, 3)
     schedule = build_schedule(0.2, H.n, eps_range=(0.1, 0.5), force_rounds=1)

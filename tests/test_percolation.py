@@ -197,6 +197,22 @@ def test_exposure_monotone_and_consistent():
             assert state.deg_sq_sum == int((state.deg**2).sum())
 
 
+def test_round_statistics_derive_on_first_use():
+    H = subgraph_hypergraph(complete(3), 9)
+    schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
+    for trial in range(10):
+        states = run_exposure(H, schedule, TrialStream(43, trial))
+        for state in states:
+            assert state.edge_count == recount_edges(H, state.kept)
+            assert "deg" not in vars(state) and "deg_sq_sum" not in vars(state)
+            # a state built from the drawn survivors alone gives the same statistics
+            bare = RoundState(
+                H=H, index=state.index, kept=state.kept, codeg_trigger=state.codeg_trigger, eta=state.eta
+            )
+            assert bare.edge_count == recount_edges(H, state.kept)
+            assert bare.deg_sq_sum == recount_deg_sq(H, state.kept)
+
+
 def test_exposure_absorbs_empty_rounds():
     H = disjoint_edges(4, 3)
     schedule = build_schedule(0.001, H.n, eps_range=(0.05, 0.1), force_rounds=3)
@@ -322,12 +338,9 @@ def test_preconditions_detect_window_violation():
     H = disjoint_edges(10_000, 3)
     schedule, profile, states = make_schedule_and_states(H)
     dead = RoundState(
+        H=H,
         index=1,
         kept=np.zeros(H.n, dtype=bool),
-        alive=np.zeros(H.m, dtype=bool),
-        edge_count=0,
-        deg=np.zeros(H.n, dtype=np.int64),
-        deg_sq_sum=0,
         codeg_trigger=states[1].codeg_trigger,
         eta=states[1].eta,
     )
@@ -410,6 +423,15 @@ def test_lipschitz_bound_disjoint_unit_degree():
     state = states[0]
     # full survival: every vertex has degree 1, k-1 partners of co-degree 1
     assert lipschitz_bound(H, state, 0) == 1 + 4 * (H.k - 1)
+
+
+@pytest.mark.parametrize("v", [-1, 15])  # n = 15
+def test_lipschitz_bound_rejects_vertex_outside_range(v):
+    H = disjoint_edges(5, 3)
+    schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
+    state = run_exposure(H, schedule, TrialStream(1, 0))[0]
+    with pytest.raises(ValueError, match=f"vertex {v} is not in \\[0, 15\\)"):
+        lipschitz_bound(H, state, v)
 
 
 def test_lipschitz_bound_requires_survivor():
