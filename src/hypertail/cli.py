@@ -152,7 +152,7 @@ def _graph_spec(args) -> generators.GraphSpec:
         return generators.complete(args.r)
     if args.family == "complete-bipartite":
         if args.a is None or args.b is None:
-            raise UsageError("--family complete-bipartite requires --a and --b")
+            raise UsageError("--family complete-bipartite requires --a and --b-side")
         return generators.complete_bipartite(args.a, args.b)
     raise UsageError(f"unsupported pattern family {args.family!r}")
 
@@ -216,8 +216,7 @@ def _cmd_gen(args):
 
 def _cmd_stats(args):
     H = hgr.read_hgr(args.infile)
-    profile = degree_profile(H)
-    result = _result(stats_of(H, profile), degree_sum=int(profile.deg.sum()))
+    result = _result(stats_of(H), degree_sum=int(degree_profile(H).deg.sum()))
     return _record("stats", {"in": args.infile}, result)
 
 
@@ -309,7 +308,7 @@ def _cmd_expose(args):
     seed, auto = _resolve_seed(args)
     cfg = montecarlo.TrialConfig(master_seed=seed, trials=args.trials)
     per_round, _ = montecarlo.run_exposure_campaign(
-        H, schedule, args.lam, args.gamma, cfg, montecarlo.LANE_EXPOSURE, degree_profile(H)
+        H, schedule, args.lam, args.gamma, cfg, montecarlo.LANE_EXPOSURE
     )
     params = {
         "in": args.infile,
@@ -431,7 +430,7 @@ def _cmd_ext(args):
         if args.p is None:
             raise UsageError("--task caps requires --p")
         nice = _niceness_params(args)
-        report = extensions.extension_cap_check(spec, args.N, args.p, args.q, nice, cfg)
+        report = extensions.extension_cap_check(spec, args.N, args.q, nice, cfg)
         params.update(_niceness_echo(args, ("p", "lambda", "gamma", "b")))
     else:
         raise UsageError(f"unknown ext task {args.task!r}")
@@ -527,7 +526,7 @@ COMMANDS = {
         ("--p", "--lambda", "--gamma", "--b"),
     ),
     "bound": (_cmd_bound, ("--in",) + NICENESS, ("--p", "--lambda", "--gamma", "--b")),
-    "regime": (_cmd_regime, PATTERN + ("--c1",), ()),
+    "regime": (_cmd_regime, PATTERN + ("--c1",), ("--N",)),
     "oracle": (_cmd_oracle, ("--budget", "--in", "--p", "--dist"), ("--p",)),
     "simulate": (_cmd_simulate, SIMULATE + TASK_FLAGS, ("--p",)),
     "expose": (

@@ -126,6 +126,24 @@ class Hypergraph:
             a.setflags(write=False)
         return PairIndex(count=len(uniq), u=u, v=v, edge_pair_ids=ids)
 
+    @cached_property
+    def profile(self) -> "DegreeProfile":
+        """Degrees, max/min degree and the maximum co-degree; read it through
+        :func:`degree_profile`.
+
+        The co-degree maximum scans only pairs that co-occur inside some edge;
+        all other pairs have co-degree 0.
+        """
+        deg = np.bincount(self.edges_arr.ravel(), minlength=self.n)
+        deg.setflags(write=False)
+        codeg = np.bincount(self.pair_index.edge_pair_ids.ravel(), minlength=1)  # [0] without pairs
+        return DegreeProfile(
+            deg=deg,
+            max_degree=int(deg.max()),
+            min_degree=int(deg.min()),
+            max_codegree=int(codeg.max()),
+        )
+
 
 @dataclass(frozen=True)
 class PairIndex:
@@ -164,20 +182,8 @@ class HypergraphStats:
 
 
 def degree_profile(H: Hypergraph) -> DegreeProfile:
-    """Compute degrees, max/min degree and the maximum co-degree of H.
-
-    The co-degree maximum scans only pairs that co-occur inside some edge;
-    all other pairs have co-degree 0.
-    """
-    deg = np.bincount(H.edges_arr.ravel(), minlength=H.n)
-    deg.setflags(write=False)
-    codeg = np.bincount(H.pair_index.edge_pair_ids.ravel(), minlength=1)  # [0] without pairs
-    return DegreeProfile(
-        deg=deg,
-        max_degree=int(deg.max()),
-        min_degree=int(deg.min()),
-        max_codegree=int(codeg.max()),
-    )
+    """H's degrees, max/min degree and maximum co-degree, computed once per H."""
+    return H.profile
 
 
 def codegree(H: Hypergraph, u: int, v: int) -> int:
@@ -190,10 +196,9 @@ def codegree(H: Hypergraph, u: int, v: int) -> int:
     return len(set(H.incidence[u]).intersection(H.incidence[v]))
 
 
-def stats_of(H: Hypergraph, profile: DegreeProfile | None = None) -> HypergraphStats:
+def stats_of(H: Hypergraph) -> HypergraphStats:
     """Bundle (n, m, k) with the degree profile extremes."""
-    if profile is None:
-        profile = degree_profile(H)
+    profile = degree_profile(H)
     return HypergraphStats(
         n=H.n,
         m=H.m,

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from .bounds import NicenessParams
-from .core import BudgetError, InfeasibleError, degree_profile
+from .core import BudgetError, InfeasibleError
 from .generators import GraphSpec, pair_rank, pair_unrank, subgraph_hypergraph
 from .montecarlo import LANE_EXTENSION, TrialConfig, _per_trial, clopper_pearson
 from .percolation import codeg_trigger, degree_cap
@@ -365,7 +365,6 @@ class ExtensionCapReport:
 def extension_cap_check(
     spec: GraphSpec,
     N: int,
-    p: float,
     q: float,
     params: NicenessParams,
     cfg: TrialConfig,
@@ -381,12 +380,11 @@ def extension_cap_check(
     if not params.p <= q < 1.0:
         raise ValueError("q must lie in [p, 1)")
     H = subgraph_hypergraph(spec, N)
-    profile = degree_profile(H)
     log_n = math.log(H.n)
-    trigger = codeg_trigger(p, q, H, profile)
+    trigger = codeg_trigger(params.p, q, H)
     rg1 = build_rooted(spec, 2)
     rg2 = build_rooted(spec, 3) if spec.v_g >= 4 else None
-    cap = degree_cap(q, H, profile, params.gamma_cap)
+    cap = degree_cap(q, H, params.gamma_cap)
     z2_on = trigger and rg2 is not None
 
     def trial(stream: TrialStream) -> tuple[bool, bool]:  # whether Z1, Z2 break their caps
@@ -408,7 +406,7 @@ def extension_cap_check(
     return ExtensionCapReport(
         spec_label=spec.label,
         N=N,
-        p=p,
+        p=params.p,
         q=q,
         trials=cfg.trials,
         trigger=trigger,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle
 from .bounds import NicenessParams, degree_moment_bound
-from .core import DegreeProfile, Hypergraph, degree_profile
+from .core import Hypergraph, degree_profile
 from .percolation import (
     ExposureSchedule,
     RoundState,
@@ -313,12 +313,11 @@ def verify_p4(
         raise ValueError("q grid must be nonempty")
     if any(not params.p <= q < 1.0 for q in q_grid):
         raise ValueError("q grid must lie in [p, 1)")
-    profile = degree_profile(H)
     threshold = math.exp(-params.b * params.lam**2)
     points = []
     for qi, q in enumerate(q_grid):
-        cap = degree_cap(q, H, profile, params.gamma_cap)
-        trigger = codeg_trigger(params.p, q, H, profile)
+        cap = degree_cap(q, H, params.gamma_cap)
+        trigger = codeg_trigger(params.p, q, H)
 
         def block(alive: np.ndarray, size: int) -> list[tuple[int, int, bool, bool]]:
             dmaxes, dmins, cmaxes = surviving_extremes(H, alive, size, codeg=trigger).tolist()
@@ -445,7 +444,7 @@ def check_degree_moment(
             raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
     if not vertices:
         return DegreeMomentReport(entries=(), epsilon=eps, eta=state.eta)
-    alive, deg = state.alive, state.deg  # derived here, not first in a worker thread
+    alive, deg, eta = state.alive, state.deg, state.eta  # derived before the threads start
 
     def trial(stream: TrialStream) -> DegreeMomentEntry:
         v = vertices[stream.trial - 1]
@@ -464,7 +463,7 @@ def check_degree_moment(
         vals = deg_next.astype(np.float64) ** 2
         estimate = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(continuations)) if continuations > 1 else 0.0
-        bound = degree_moment_bound(int(deg[v]), H.k, state.eta, eps)
+        bound = degree_moment_bound(int(deg[v]), H.k, eta, eps)
         return DegreeMomentEntry(
             vertex=int(v),
             deg=int(deg[v]),
@@ -475,7 +474,7 @@ def check_degree_moment(
         )
 
     entries = _per_trial(replace(cfg, trials=len(vertices)), LANE_DEGREE_MOMENT, trial, first=1)
-    return DegreeMomentReport(entries=tuple(entries), epsilon=eps, eta=state.eta)
+    return DegreeMomentReport(entries=tuple(entries), epsilon=eps, eta=eta)
 
 
 def run_exposure_campaign(
@@ -485,7 +484,6 @@ def run_exposure_campaign(
     gamma_cap: float,
     cfg: TrialConfig,
     lane: int,
-    profile: DegreeProfile,
 ) -> tuple[tuple[ExposureRound, ...], list[list[int]]]:
     """Run ``cfg.trials`` exposure chains and check every round's conditions once.
 
@@ -499,13 +497,14 @@ def run_exposure_campaign(
         if value <= 0:  # as NicenessParams requires
             raise ValueError(f"{name} must be positive")
     rounds = schedule.rounds
+    degree_profile(H)  # derived before the threads start
 
     def trial(stream: TrialStream) -> np.ndarray:
         # per round: edge count, its square, degree-square sum, the four condition flags
         return np.array([
             (s.edge_count, s.edge_count**2, s.deg_sq_sum)
-            + check_preconditions(H, s, schedule, lam, gamma_cap, profile).holds
-            for s in run_exposure(H, schedule, stream, profile)
+            + check_preconditions(s, lam, gamma_cap).holds
+            for s in run_exposure(H, schedule, stream)
         ], dtype=np.int64)
 
     rows = _per_trial(cfg, lane, trial)
@@ -520,7 +519,7 @@ def run_exposure_campaign(
             mean_edge_count=float(mean_x),
             var_edge_count=float(mean_x2 - mean_x**2),
             mean_deg_sq_sum=float(mean_y),
-            codeg_trigger=codeg_trigger(schedule.p, schedule.epsilon**i, H, profile),
+            codeg_trigger=codeg_trigger(schedule.p, schedule.epsilon**i, H),
             holds_counts=tuple(holds[i].tolist()),
         )
         for i, (mean_x, mean_x2, mean_y) in enumerate(means)
@@ -542,11 +541,10 @@ def check_degree_square_sum(
     trials in which all four conditions held at round i, matching the setting
     in which the bound is asserted; a round with no such trial has no entry.
     """
-    profile = degree_profile(H)
-    _, buckets = run_exposure_campaign(H, schedule, lam, gamma_cap, cfg, LANE_DEG_SQ_SUM, profile)
+    _, buckets = run_exposure_campaign(H, schedule, lam, gamma_cap, cfg, LANE_DEG_SQ_SUM)
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
-    delta_max = profile.max_degree
+    delta_max = degree_profile(H).max_degree
     log_n = math.log(n)
     entries = []
     for i, bucket in enumerate(buckets):

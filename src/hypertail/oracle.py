@@ -68,14 +68,13 @@ def intersection_profile(H: Hypergraph, pair_budget: int | None = None) -> tuple
     shared vertices (degree >= 2).  Those rows are sorted and their run
     lengths squared; the triangular system is then solved from j = k - 1 down.
 
-    ``pair_budget`` (default DEFAULT_PAIR_BUDGET) caps m, and the subset rows,
+    ``pair_budget`` (default DEFAULT_PAIR_BUDGET) caps the subset rows,
     counted as the sum over edges of 2^(shared vertices), at
-    ROWS_PER_BUDGETED_EDGE per budgeted edge.
+    ROWS_PER_BUDGETED_EDGE per budgeted edge.  That cap bounds the work: the
+    other arrays are O(n + mk), the size of H itself.
     """
     budget = DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
     k, m = H.k, H.m
-    if m > budget:
-        raise BudgetError(f"variance profile over m={m} edges exceeds budget {budget}")
     shared = (np.bincount(H.edges_arr.ravel(), minlength=H.n) >= 2)[H.edges_arr]
     sizes = np.count_nonzero(shared, axis=1)
     by_size = np.bincount(sizes, minlength=k + 1).tolist()

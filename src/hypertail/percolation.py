@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DegreeProfile, Hypergraph, InfeasibleError, degree_profile
+from .core import Hypergraph, InfeasibleError, degree_profile
 from .rng import TrialStream
 
 STRICT_EPS_RANGE = (1e-6, 1e-3)
@@ -41,19 +41,28 @@ class ExposureSchedule:
 
 @dataclass(frozen=True, eq=False)
 class RoundState:
-    """The survivors ``kept`` of H's vertices after round ``index`` of the chain.
+    """The survivors ``kept`` of H's vertices after round ``index`` of ``schedule``.
 
-    ``codeg_trigger`` records whether this round is in the regime where the
-    co-degree smallness condition is switched on, and ``eta`` is the matching
-    pair-overlap factor (k / ln^3 n when triggered, else 1).  The edge and
-    degree statistics derive from ``kept``, each once, on first use.
+    Every other attribute derives from these four, each once, on first use:
+    the edge and degree statistics from ``kept``, and ``codeg_trigger`` and
+    ``eta`` from the round's retention level epsilon^index.
     """
 
     H: Hypergraph
+    schedule: ExposureSchedule
     index: int
     kept: np.ndarray
-    codeg_trigger: bool
-    eta: float
+
+    @cached_property
+    def codeg_trigger(self) -> bool:
+        """Whether this round is in the regime where the co-degree smallness
+        condition is switched on."""
+        return codeg_trigger(self.schedule.p, self.schedule.epsilon**self.index, self.H)
+
+    @cached_property
+    def eta(self) -> float:
+        """The pair-overlap factor: k / ln^3 n when triggered, else 1."""
+        return self.H.k * math.log(self.H.n) ** -3 if self.codeg_trigger else 1.0
 
     @cached_property
     def alive(self) -> np.ndarray:
@@ -183,9 +192,9 @@ def codeg_holds(max_codeg: int, min_pos_deg: int, n: int) -> bool:
     return not max_codeg or max_codeg <= min_pos_deg * math.log(n) ** -3
 
 
-def degree_cap(q: float, H: Hypergraph, profile: DegreeProfile, gamma_cap: float) -> float:
+def degree_cap(q: float, H: Hypergraph, gamma_cap: float) -> float:
     """Condition (3)'s cap on surviving degrees at retention q: max{2 q^(k-1) Delta, Gamma}."""
-    return max(2.0 * q ** (H.k - 1) * profile.max_degree, gamma_cap)
+    return max(2.0 * q ** (H.k - 1) * degree_profile(H).max_degree, gamma_cap)
 
 
 def codegree_sums(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
@@ -252,10 +261,10 @@ def build_schedule(
     )
 
 
-def codeg_trigger(p: float, q: float, H: Hypergraph, profile: DegreeProfile) -> bool:
+def codeg_trigger(p: float, q: float, H: Hypergraph) -> bool:
     """Whether the co-degree condition is switched on at retention level q:
     p^(1/2) * q^(k-3/2) * max_degree^2 * n * ln n >= m."""
-    lhs = math.sqrt(p) * q ** (H.k - 1.5) * profile.max_degree**2 * H.n * math.log(H.n)
+    lhs = math.sqrt(p) * q ** (H.k - 1.5) * degree_profile(H).max_degree ** 2 * H.n * math.log(H.n)
     return lhs >= H.m
 
 
@@ -263,36 +272,27 @@ def run_exposure(
     H: Hypergraph,
     schedule: ExposureSchedule,
     stream: TrialStream,
-    profile: DegreeProfile | None = None,
+    profile=None,
 ) -> list[RoundState]:
     """Run the full exposure chain, returning states for rounds 0..I.
 
     Round 0 is the deterministic full vertex set.  Round i filters round
     i-1's survivors using row i-1 of the stream's uniform matrix, so any
-    round's outcome for any vertex can be replayed in isolation.
+    round's outcome for any vertex can be replayed in isolation.  ``profile``
+    is accepted for callers that still pass one, and ignored: H holds its
+    own degree profile.
     """
-    if profile is None:
-        profile = degree_profile(H)
     uniforms = stream.uniform_matrix(schedule.rounds, H.n)
     kept = np.ones(H.n, dtype=bool)
     states = []
     for i in range(schedule.rounds + 1):
         if i:
             kept = kept & (uniforms[i - 1] < schedule.epsilon)
-        trigger = codeg_trigger(schedule.p, schedule.epsilon**i, H, profile)
-        eta = H.k * math.log(H.n) ** -3 if trigger else 1.0
-        states.append(RoundState(H=H, index=i, kept=kept, codeg_trigger=trigger, eta=eta))
+        states.append(RoundState(H, schedule, i, kept))
     return states
 
 
-def check_preconditions(
-    H: Hypergraph,
-    state: RoundState,
-    schedule: ExposureSchedule,
-    lam: float,
-    gamma_cap: float,
-    profile: DegreeProfile | None = None,
-) -> PreconditionReport:
+def check_preconditions(state: RoundState, lam: float, gamma_cap: float) -> PreconditionReport:
     """Evaluate the four inductive conditions at this round, exactly as stated.
 
     (1) the edge count sits in its shrinking window; (2) the degree-square sum
@@ -300,12 +300,10 @@ def check_preconditions(
     Gamma}; (4) when the co-degree trigger fires, every surviving co-degree is
     at most (min positive surviving degree) / ln^3 n.
     """
-    if profile is None:
-        profile = degree_profile(H)
-    i = state.index
+    H, schedule, i = state.H, state.schedule, state.index
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
-    delta_max = profile.max_degree
+    delta_max = degree_profile(H).max_degree
     if p**k * m == 0:  # no edges, or p^k underflows
         raise InfeasibleError(f"the round conditions divide by p^k m, which is 0 at m={m}, p={p}")
     log_n = math.log(n)

@@ -540,6 +540,18 @@ def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen", "--N", "6"],
+    ["regime", "--N", "6", "--c1", "0.05"],
+    ["ext", "--task", "balanced"],
+], ids=["gen", "regime", "ext"])
+def test_missing_bipartite_side_names_its_flag(argv):
+    argv = [argv[0], "--family", "complete-bipartite", "--a", "2", *argv[1:]]
+    error = "error: --family complete-bipartite requires --a and --b-side\n"
+    assert run(argv) == (1, "", error)
+    assert run(argv + ["--b-side", "3"])[0] == 0  # following the message works
+
+
+@pytest.mark.parametrize("argv", [
     ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--budget", "0"],
     ["gen", "--family", "complete", "--r", "3", "--N", "5", "--budget", "-1"],
     ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--config", "budget.cfg"],
@@ -839,7 +851,9 @@ def command_argv(draw):
         return ["gen", *(str(a) for item in flags.items() for a in item)]
     if command == "regime":
         flags = {"--family": draw(st.sampled_from(["complete", "complete-bipartite"])),
-                 "--N": draw(st.integers(-2, 12)), "--c1": draw(positive)}
+                 "--c1": draw(positive)}
+        if draw(st.booleans()):
+            flags["--N"] = draw(st.integers(-2, 12))
         if flags["--family"] == "complete":
             flags["--r"] = draw(st.integers(-1, 5))
         else:
@@ -887,6 +901,7 @@ def command_argv(draw):
                                       "--c1", "0.05"])
 @example(text="3 3 1\n0 1 2\n", argv=["regime", "--family", "complete", "--r", "3", "--N", "10",
                                       "--c1", "1e308"])
+@example(text="3 3 1\n0 1 2\n", argv=["regime", "--family", "complete", "--r", "3", "--c1", "0.05"])
 @example(text="3 3 1\n0 1 2\n", argv=["simulate", "--task", "subgaussian", "--in", "{in}",
                                       "--p", "0.3", "--lambdas", "1e-300", "--seed", "3",
                                       "--trials", "3"])

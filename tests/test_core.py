@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertail import Hypergraph, codegree, complete, degree_profile, subgraph_hypergraph
+from hypertail import (
+    Hypergraph,
+    codegree,
+    complete,
+    degree_profile,
+    stats_of,
+    subgraph_hypergraph,
+)
 from hypertail.generators import disjoint_edges
 
 
@@ -127,6 +134,19 @@ def test_codegree_query_matches_brute_force(H):
             assert direct <= min(profile.deg[u], profile.deg[v])
             best = max(best, direct)
     assert profile.max_codegree == best
+
+
+def test_degree_profile_is_computed_once():
+    H = subgraph_hypergraph(complete(3), 6)
+    stats = stats_of(H)
+    profile = degree_profile(H)
+    assert degree_profile(H) is profile
+    assert vars(H)["profile"] is profile  # the one stats_of built
+    assert (stats.max_degree, stats.min_degree, stats.max_codegree) == (
+        profile.max_degree,
+        profile.min_degree,
+        profile.max_codegree,
+    )
 
 
 def test_degree_profile_is_pure():

@@ -429,7 +429,7 @@ def test_z_identity_k5():
 def test_extension_cap_generous_cap_zero_violations():
     params = NicenessParams(p=0.3, lam=2, gamma_cap=1000.0, b=1)
     report = extension_cap_check(
-        complete(4), 10, 0.3, 0.8, params, TrialConfig(master_seed=131, trials=150)
+        complete(4), 10, 0.8, params, TrialConfig(master_seed=131, trials=150)
     )
     assert report.z1_violations == 0
 
@@ -437,7 +437,7 @@ def test_extension_cap_generous_cap_zero_violations():
 def test_extension_cap_tiny_q_zero_violations():
     params = NicenessParams(p=0.005, lam=2, gamma_cap=2.0, b=1)
     report = extension_cap_check(
-        complete(3), 10, 0.005, 0.01, params, TrialConfig(master_seed=137, trials=300)
+        complete(3), 10, 0.01, params, TrialConfig(master_seed=137, trials=300)
     )
     assert report.z1_violations == 0
 
@@ -445,8 +445,8 @@ def test_extension_cap_tiny_q_zero_violations():
 def test_extension_cap_reproducible():
     params = NicenessParams(p=0.5, lam=2, gamma_cap=3.0, b=1)
     cfg = TrialConfig(master_seed=139, trials=100)
-    a = extension_cap_check(complete(4), 12, 0.5, 0.8, params, cfg)
-    b = extension_cap_check(complete(4), 12, 0.5, 0.8, params, cfg)
+    a = extension_cap_check(complete(4), 12, 0.8, params, cfg)
+    b = extension_cap_check(complete(4), 12, 0.8, params, cfg)
     assert a == b
     assert report_fields_defined(a)
 
@@ -455,7 +455,7 @@ def test_extension_cap_does_not_depend_on_worker_count():
     params = NicenessParams(p=0.2, lam=2, gamma_cap=4.0, b=1)
     a, b = (
         extension_cap_check(
-            complete(4), 6, 0.2, 0.5, params, TrialConfig(master_seed=149, trials=20, workers=w)
+            complete(4), 6, 0.5, params, TrialConfig(master_seed=149, trials=20, workers=w)
         )
         for w in (1, 3)
     )
@@ -469,7 +469,7 @@ def test_extension_cap_bipartite_report_is_pinned():
     # pinned here
     params = NicenessParams(p=0.2, lam=2, gamma_cap=4.0, b=1)
     report = extension_cap_check(
-        complete_bipartite(2, 3), 8, 0.2, 0.5, params, TrialConfig(master_seed=5, trials=60)
+        complete_bipartite(2, 3), 8, 0.5, params, TrialConfig(master_seed=5, trials=60)
     )
     assert report == ExtensionCapReport(
         spec_label="K{2,3}", N=8, p=0.2, q=0.5, trials=60, trigger=True, z1_cap=7.5,

@@ -31,7 +31,6 @@ from hypertail import (
     verify_p4,
     z_identity_check,
 )
-from hypertail.core import degree_profile
 from hypertail.montecarlo import (
     LANE_EXPOSURE,
     LANE_P4,
@@ -337,7 +336,7 @@ def test_campaigns_do_not_depend_on_worker_count():
             state = run_exposure(H, schedule, TrialStream(71, 0))[1]
             runs.append((
                 verify_p4(H, params, [0.2, 0.3], cfg),
-                run_exposure_campaign(H, schedule, 2.0, 2.0, cfg, LANE_EXPOSURE, degree_profile(H)),
+                run_exposure_campaign(H, schedule, 2.0, 2.0, cfg, LANE_EXPOSURE),
                 z_identity_check(complete(3), 6, 0.5, cfg),
                 z_identity_check(complete(3), 6, 0.5, cfg, conditioned_target=30),
                 check_degree_moment(H, state, schedule, cfg, vertices=15, continuations=200),
@@ -371,12 +370,11 @@ def _reference_edge_counts(H, q, cfg):
 
 def _reference_p4(H, params, q_grid, cfg):
     """verify_p4's grid points, recounted one trial at a time from the edge tuples."""
-    profile = degree_profile(H)
     threshold = math.exp(-params.b * params.lam**2)
     points = []
     for qi, q in enumerate(q_grid):
-        cap = degree_cap(q, H, profile, params.gamma_cap)
-        trigger = codeg_trigger(params.p, q, H, profile)
+        cap = degree_cap(q, H, params.gamma_cap)
+        trigger = codeg_trigger(params.p, q, H)
         dmaxes, cmaxes, bad_deg, bad_codeg = [], [], [], []
         for t in range(cfg.trials):
             kept = _reference_kept(H, q, cfg, LANE_P4, qi * cfg.trials + t)

@@ -208,8 +208,11 @@ def test_variance_single_edge():
 
 
 def test_variance_budget():
-    with pytest.raises(BudgetError):
-        exact_variance(disjoint_edges(30_000, 3), 0.5)
+    # the budget counts subset rows only: 30 000 edges sharing no vertex need one row each
+    m, p = 30_000, 0.5
+    assert exact_variance(disjoint_edges(m, 3), p) == float(m * Fraction(p**3 - p**6))
+    with pytest.raises(BudgetError, match="subset rows exceeds budget"):
+        exact_variance(disjoint_edges(100, 3), p, pair_budget=1)
 
 
 def test_variance_covariance_terms_nonnegative():

@@ -22,6 +22,7 @@ from hypertail import (
 )
 from hypertail.percolation import (
     RoundState,
+    codeg_trigger,
     codegree_sums,
     surviving_degrees,
     surviving_edge_counts,
@@ -47,10 +48,10 @@ def recount_deg_sq(H, kept):
 # --- one-round percolation -----------------------------------------------
 
 
-def percolate(H, q, stream, profile=None):
+def percolate(H, q, stream):
     """Keep each vertex with probability q: the round-1 state of a one-round chain."""
     schedule = build_schedule(q, H.n, eps_range=(1e-9, 1 - 1e-15), force_rounds=1)
-    return run_exposure(H, schedule, stream, profile)[1]
+    return run_exposure(H, schedule, stream)[1]
 
 
 def test_percolate_near_full_retention_keeps_everything():
@@ -88,9 +89,8 @@ def test_percolate_rejects_bad_q():
 
 def test_percolate_mean_tracks_binomial():
     H = disjoint_edges(200, 3)
-    profile = degree_profile(H)
     trials = 4000
-    xs = [percolate(H, 0.3, TrialStream(17, t), profile).edge_count for t in range(trials)]
+    xs = [percolate(H, 0.3, TrialStream(17, t)).edge_count for t in range(trials)]
     sigma = math.sqrt(200 * 0.027 * 0.973)
     assert abs(np.mean(xs) - 5.4) < 4 * sigma / math.sqrt(trials)
 
@@ -184,9 +184,8 @@ def test_exposure_round0_is_everything():
 def test_exposure_monotone_and_consistent():
     H = subgraph_hypergraph(complete(3), 9)
     schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
-    profile = degree_profile(H)
     for trial in range(30):
-        states = run_exposure(H, schedule, TrialStream(29, trial), profile)
+        states = run_exposure(H, schedule, TrialStream(29, trial))
         for prev, cur in zip(states, states[1:]):
             assert not (cur.kept & ~prev.kept).any()  # V_{i+1} subset of V_i
             assert cur.edge_count <= prev.edge_count
@@ -206,11 +205,20 @@ def test_round_statistics_derive_on_first_use():
             assert state.edge_count == recount_edges(H, state.kept)
             assert "deg" not in vars(state) and "deg_sq_sum" not in vars(state)
             # a state built from the drawn survivors alone gives the same statistics
-            bare = RoundState(
-                H=H, index=state.index, kept=state.kept, codeg_trigger=state.codeg_trigger, eta=state.eta
-            )
+            bare = RoundState(H, schedule, state.index, state.kept)
             assert bare.edge_count == recount_edges(H, state.kept)
             assert bare.deg_sq_sum == recount_deg_sq(H, state.kept)
+
+
+def test_round_trigger_and_eta_derive_on_first_use():
+    H = subgraph_hypergraph(complete(3), 9)
+    schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
+    for state in run_exposure(H, schedule, TrialStream(47, 0)):
+        assert "codeg_trigger" not in vars(state) and "eta" not in vars(state)
+        q = schedule.epsilon**state.index
+        assert state.codeg_trigger == codeg_trigger(schedule.p, q, H)
+        assert state.eta == (H.k * math.log(H.n) ** -3 if state.codeg_trigger else 1.0)
+        assert "codeg_trigger" in vars(state) and "eta" in vars(state)
 
 
 def test_exposure_absorbs_empty_rounds():
@@ -252,15 +260,14 @@ def test_codegree_sum_identity():
 
 def make_schedule_and_states(H, trial=0, seed=19):
     schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
-    profile = degree_profile(H)
-    states = run_exposure(H, schedule, TrialStream(seed, trial), profile)
-    return schedule, profile, states
+    states = run_exposure(H, schedule, TrialStream(seed, trial))
+    return schedule, states
 
 
 def test_preconditions_round0_window_has_zero_slack():
     H = subgraph_hypergraph(complete(3), 10)
-    schedule, profile, states = make_schedule_and_states(H)
-    report = check_preconditions(H, states[0], schedule, lam=3.0, gamma_cap=5.0, profile=profile)
+    schedule, states = make_schedule_and_states(H)
+    report = check_preconditions(states[0], lam=3.0, gamma_cap=5.0)
     lo, hi = report.window
     assert (lo + hi) / 2 == pytest.approx(H.m, rel=1e-12)
     assert report.holds[0]
@@ -270,8 +277,9 @@ def test_preconditions_round0_window_has_zero_slack():
 def test_preconditions_round0_codeg_matches_global_condition():
     # at round 0 condition (4) reduces to max_codegree <= min_degree / ln^3 n
     for H in (subgraph_hypergraph(complete(3), 12), disjoint_edges(50, 3)):
-        schedule, profile, states = make_schedule_and_states(H)
-        report = check_preconditions(H, states[0], schedule, lam=3.0, gamma_cap=5.0, profile=profile)
+        schedule, states = make_schedule_and_states(H)
+        report = check_preconditions(states[0], lam=3.0, gamma_cap=5.0)
+        profile = degree_profile(H)
         expected = (not states[0].codeg_trigger) or (
             profile.max_codegree <= profile.min_degree * math.log(H.n) ** -3
         )
@@ -314,7 +322,7 @@ def test_every_round_matches_recount_of_alive_and_codeg_condition(H, seed, trial
     for state in run_exposure(H, schedule, TrialStream(seed, trial)):
         alive = [all(state.kept[v] for v in edge) for edge in H.edges]
         assert state.alive.tolist() == alive
-        report = check_preconditions(H, state, schedule, lam=2.0, gamma_cap=4.0)
+        report = check_preconditions(state, lam=2.0, gamma_cap=4.0)
         assert report.holds[3] == recount_codeg_condition(H, alive, state.codeg_trigger)
 
 
@@ -327,43 +335,46 @@ def test_codeg_condition_skips_degree0_survivors(n, clique, holds):
     # round 0 keeps the isolated vertex; (4) compares against the minimum positive
     # degree, clique - 1, so it holds iff 1 <= (clique - 1) / ln^3 n
     H = Hypergraph(n=n, k=2, edges=list(combinations(range(clique), 2)))
-    schedule, profile, states = make_schedule_and_states(H)
+    schedule, states = make_schedule_and_states(H)
     assert states[0].codeg_trigger
-    report = check_preconditions(H, states[0], schedule, lam=3.0, gamma_cap=5.0, profile=profile)
+    report = check_preconditions(states[0], lam=3.0, gamma_cap=5.0)
     assert report.holds[3] == holds
 
 
 def test_preconditions_detect_window_violation():
     # needs p^k m >> 1 so the round-1 window excludes 0
     H = disjoint_edges(10_000, 3)
-    schedule, profile, states = make_schedule_and_states(H)
-    dead = RoundState(
-        H=H,
-        index=1,
-        kept=np.zeros(H.n, dtype=bool),
-        codeg_trigger=states[1].codeg_trigger,
-        eta=states[1].eta,
-    )
-    report = check_preconditions(H, dead, schedule, lam=0.01, gamma_cap=5.0, profile=profile)
+    schedule, states = make_schedule_and_states(H)
+    dead = RoundState(H, schedule, 1, np.zeros(H.n, dtype=bool))
+    report = check_preconditions(dead, lam=0.01, gamma_cap=5.0)
     assert report.window[0] > 0
     assert not report.holds[0]
 
 
 def test_preconditions_are_pure():
     H = subgraph_hypergraph(complete(3), 10)
-    schedule, profile, states = make_schedule_and_states(H)
-    a = check_preconditions(H, states[2], schedule, lam=2.0, gamma_cap=4.0, profile=profile)
-    b = check_preconditions(H, states[2], schedule, lam=2.0, gamma_cap=4.0, profile=profile)
+    schedule, states = make_schedule_and_states(H)
+    a = check_preconditions(states[2], lam=2.0, gamma_cap=4.0)
+    b = check_preconditions(states[2], lam=2.0, gamma_cap=4.0)
     assert a == b
+
+
+def test_hand_built_state_gives_the_chains_report():
+    for H in (subgraph_hypergraph(complete(3), 10), disjoint_edges(50, 3)):
+        schedule, states = make_schedule_and_states(H, seed=53)
+        for state in states:
+            bare = RoundState(H, schedule, state.index, state.kept.copy())
+            assert check_preconditions(bare, lam=2.0, gamma_cap=4.0) == check_preconditions(
+                state, lam=2.0, gamma_cap=4.0
+            )
 
 
 def test_precondition_formulas_match_scripted_recomputation():
     # frozen 50-digit recomputation for round 2 of H_{K3}(10), p=1/8, eps=1/2
     H = subgraph_hypergraph(complete(3), 10)
     schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
-    profile = degree_profile(H)
-    states = run_exposure(H, schedule, TrialStream(71, 0), profile)
-    report = check_preconditions(H, states[2], schedule, lam=2.5, gamma_cap=4.0, profile=profile)
+    states = run_exposure(H, schedule, TrialStream(71, 0))
+    report = check_preconditions(states[2], lam=2.5, gamma_cap=4.0)
     lo, hi = report.window
     assert (lo + hi) / 2 == pytest.approx(1.875, rel=1e-12)
     assert (hi - lo) / 2 == pytest.approx(12.587195875174105, rel=1e-12)
@@ -394,9 +405,9 @@ def test_exposure_round_marginals_track_epsilon_powers():
 
 def test_precondition_radii_positive():
     H = subgraph_hypergraph(complete(3), 10)
-    schedule, profile, states = make_schedule_and_states(H)
+    schedule, states = make_schedule_and_states(H)
     for state in states:
-        report = check_preconditions(H, state, schedule, lam=2.0, gamma_cap=4.0, profile=profile)
+        report = check_preconditions(state, lam=2.0, gamma_cap=4.0)
         assert report.t1 > 0
         assert report.t2 > 0
 
@@ -448,10 +459,9 @@ def test_toggle_audit_small_instances():
     """Flipping one vertex outcome moves X by <= deg and Y by <= the bound."""
     H = subgraph_hypergraph(complete(3), 7)
     schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
-    profile = degree_profile(H)
     audited = 0
     for trial in range(25):
-        states = run_exposure(H, schedule, TrialStream(31, trial), profile)
+        states = run_exposure(H, schedule, TrialStream(31, trial))
         for i in range(schedule.rounds):
             state, nxt = states[i], states[i + 1]
             x1, y1 = recount_edges(H, nxt.kept), recount_deg_sq(H, nxt.kept)
