@@ -187,9 +187,12 @@ def _niceness_echo(args, keys=tuple(_NICENESS_KEYS)) -> dict:
 
 
 def _cmd_gen(args):
+    if args.family not in GEN_FAMILIES:
+        raise UsageError(f"unknown family {args.family!r}")
+    _parse_only(args, ("--family", "--budget") + GEN_FAMILIES[args.family])
     budget = args.budget or generators.DEFAULT_ENUMERATION_BUDGET
     params = {"family": args.family, "budget": budget}
-    if args.family in ("complete", "complete-bipartite"):
+    if args.family in PATTERN_FAMILIES:
         spec = _graph_spec(args)
         if args.N is None:
             raise UsageError("pattern families require --N")
@@ -200,14 +203,12 @@ def _cmd_gen(args):
             raise UsageError("--family disjoint requires --m and --k")
         H = generators.disjoint_edges(args.m, args.k, budget=budget)
         params.update(m=args.m, k=args.k)
-    elif args.family == "random":
+    else:
         if args.n is None or args.m is None or args.k is None:
             raise UsageError("--family random requires --n, --m and --k")
         seed, auto = _resolve_seed(args)
         H = generators.random_uniform(args.n, args.m, args.k, seed=seed, budget=budget)
         params.update(n=args.n, m=args.m, k=args.k, seed=seed, seed_auto=auto)
-    else:
-        raise UsageError(f"unknown family {args.family!r}")
     if args.out:
         hgr.write_hgr(H, args.out)
         return _record("gen", params, {"path": args.out, "k": H.k, "n": H.n, "m": H.m})
@@ -263,6 +264,7 @@ def _cmd_bound(args):
 
 def _cmd_regime(args):
     spec = _graph_spec(args)
+    _parse_only(args, ("--family", "--c1") + PATTERN_FAMILIES[args.family])
     with _blame_flag({"--N": [args.N], "--c1": [args.c1]}):
         reg = bounds.regime(spec, args.N, args.c1)
     params = {"family": args.family, "N": args.N, "c1": args.c1, "pattern": spec.label}
@@ -495,6 +497,14 @@ FLAGS = {
 COMMON = ("--out", "--config")
 STOCHASTIC = ("--seed", "--trials", "--workers", "--significance")
 PATTERN = ("--family", "--r", "--a", "--b-side", "--N")
+# A family's flags besides --family: gen and regime take only those of the
+# family they are given, and gen --budget as well.
+PATTERN_FAMILIES = {"complete": ("--r", "--N"), "complete-bipartite": ("--a", "--b-side", "--N")}
+GEN_FAMILIES = {
+    **PATTERN_FAMILIES,
+    "disjoint": ("--m", "--k"),
+    "random": ("--n", "--m", "--k", "--seed"),
+}
 NICENESS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
 SCHEDULE = ("--eps-range", "--strict", "--force-rounds")
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -110,38 +109,69 @@ class Hypergraph:
         ends = np.cumsum(np.bincount(flat, minlength=self.n)).tolist()
         return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
 
+    def _pair_codes(self) -> tuple[np.ndarray, int, np.ndarray | None]:
+        """(codes, base, labels): ``codes[e, j]`` is ``a * base + b`` for the
+        j-th vertex pair a < b inside edge e.
+
+        a and b are the vertex ids themselves while n^2 fits in int64, and
+        their ranks in ``labels``, the ids that occur, beyond that.  The codes
+        are int32 when n^2 fits in it.
+        """
+        i, j = np.triu_indices(self.k, 1)  # the pairs in combinations(range(k), 2) order
+        rows, base, labels = self.edges_arr, self.n, None
+        if base * base > 2**63:
+            labels, rows = np.unique(rows, return_inverse=True)
+            rows, base = rows.reshape(self.edges_arr.shape), len(labels)
+        dtype = np.int32 if base * base <= 2**31 else np.int64
+        rows = rows.astype(dtype, copy=False)
+        return rows[:, i] * dtype(base) + rows[:, j], base, labels
+
     @cached_property
     def pair_index(self) -> "PairIndex":
-        """Index of all vertex pairs that co-occur in at least one edge."""
-        if self.k < 2 or self.m == 0:
-            empty = np.empty(0, dtype=np.int64)
-            ids = np.empty((self.m, 0), dtype=np.int64)
-            return PairIndex(count=0, u=empty, v=empty, edge_pair_ids=ids)
-        i, j = np.array(list(combinations(range(self.k), 2))).T
-        codes = self.edges_arr[:, i] * self.n + self.edges_arr[:, j]
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        ids = inverse.reshape(codes.shape).astype(np.int64)
-        u, v = uniq // self.n, uniq % self.n
+        """Index of all vertex pairs that co-occur in at least one edge.
+
+        A pair's dense id is the rank of its code among the distinct codes,
+        found by one argsort and the starts of the runs of equal sorted codes.
+        """
+        codes, base, labels = self._pair_codes()
+        order = np.argsort(codes, axis=None)
+        ranked = codes.ravel()[order]
+        first = np.ones(ranked.size, dtype=bool)  # the start of each run of equal codes
+        first[1:] = ranked[1:] != ranked[:-1]
+        ids = np.empty(ranked.size, dtype=np.int64)
+        ids[order] = np.cumsum(first) - 1
+        ids = ids.reshape(codes.shape)
+        uniq = ranked[first].astype(np.int64)
+        u, v = uniq // base, uniq % base
+        if labels is not None:
+            u, v = labels[u], labels[v]
         for a in (ids, u, v):
             a.setflags(write=False)
         return PairIndex(count=len(uniq), u=u, v=v, edge_pair_ids=ids)
 
     @cached_property
-    def profile(self) -> "DegreeProfile":
-        """Degrees, max/min degree and the maximum co-degree; read it through
-        :func:`degree_profile`.
+    def max_codegree(self) -> int:
+        """The largest co-degree: the longest run of equal codes among the
+        sorted codes of the vertex pairs inside the edges (0 without pairs).
 
-        The co-degree maximum scans only pairs that co-occur inside some edge;
-        all other pairs have co-degree 0.
+        It builds neither :attr:`pair_index` nor an n-sized array.
+        """
+        codes = np.sort(self._pair_codes()[0], axis=None)
+        ends = np.flatnonzero(codes[1:] != codes[:-1])  # the last index of each run but the last
+        return int(np.diff(ends, prepend=-1, append=codes.size - 1).max())
+
+    @cached_property
+    def profile(self) -> "DegreeProfile":
+        """Degrees, max/min degree and :attr:`max_codegree`; read it through
+        :func:`degree_profile`.
         """
         deg = np.bincount(self.edges_arr.ravel(), minlength=self.n)
         deg.setflags(write=False)
-        codeg = np.bincount(self.pair_index.edge_pair_ids.ravel(), minlength=1)  # [0] without pairs
         return DegreeProfile(
             deg=deg,
             max_degree=int(deg.max()),
             min_degree=int(deg.min()),
-            max_codegree=int(codeg.max()),
+            max_codegree=self.max_codegree,
         )
 
 

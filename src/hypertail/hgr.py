@@ -28,6 +28,32 @@ def write_hgr(H: Hypergraph, path) -> None:
         fh.write(dumps(H))
 
 
+def _decode(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The numbers whose digits are ``buf[starts:ends]``, as int64.
+
+    Digit j from the right of each number is ``buf[ends - 1 - j]``.  The
+    digits add up in uint32 while no number has more than 9 of them, else in
+    uint64, which holds every 19-digit number; a wider number, or one of
+    2^63 - 1 or more, raises HgrFormatError.
+    """
+    widths = ends - starts
+    width = int(widths.max(initial=0))
+    if width > 19:
+        raise HgrFormatError("vertex ids must be below 2^63 - 1")
+    acc = np.uint32 if width <= 9 else np.uint64
+    widths = widths.astype(np.uint8)
+    pos = ends - 1
+    values = (buf[pos] - np.uint8(ord("0"))).astype(acc)
+    for j in range(1, width):
+        pos -= 1
+        digit = buf[pos] - np.uint8(ord("0"))
+        digit *= widths > j  # 0 where the number has no digit j
+        values += digit.astype(acc) * acc(10**j)
+    if values.max(initial=0) >= 2**63 - 1:
+        raise HgrFormatError("vertex ids must be below 2^63 - 1")
+    return values.astype(np.int64)
+
+
 def loads(text: str) -> Hypergraph:
     if not text.endswith("\n"):
         raise HgrFormatError("file must end with a newline")
@@ -55,9 +81,7 @@ def loads(text: str) -> Hypergraph:
     wrong = np.flatnonzero(np.diff(line_ends) != k)
     if wrong.size:
         raise HgrFormatError(f"line {wrong[0] + 2}: expected {k} vertex ids")
-    rows = np.fromstring(raw[ends[2] + 1 :], dtype=np.int64, sep=" ").reshape(m, k)
-    if rows.size and rows.max() == np.iinfo(np.int64).max:  # fromstring saturates larger ids
-        raise HgrFormatError("vertex ids must be below 2^63 - 1")
+    rows = _decode(buf, starts[3:], ends[3:]).reshape(m, k)
     H = Hypergraph(n=n, k=k, edges=rows)
     if not np.array_equal(rows, H.edges_arr):
         raise HgrFormatError("edges must be sorted ascending and listed in lexicographic order")

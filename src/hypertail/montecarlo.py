@@ -318,6 +318,10 @@ def verify_p4(
     for qi, q in enumerate(q_grid):
         cap = degree_cap(q, H, params.gamma_cap)
         trigger = codeg_trigger(params.p, q, H)
+        # derived before the threads start: degree_profile(H), which the trigger
+        # read, and the pair index where surviving_extremes counts pairs
+        if trigger and degree_profile(H).max_codegree > 1:
+            H.pair_index
 
         def block(alive: np.ndarray, size: int) -> list[tuple[int, int, bool, bool]]:
             dmaxes, dmins, cmaxes = surviving_extremes(H, alive, size, codeg=trigger).tolist()

@@ -138,40 +138,55 @@ def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool)
     degree (0 when no edge survives) and, when ``codeg``, the max surviving
     co-degree (else 0).
 
-    Trials go 8 at a time, one byte of each word.  While those 8 trials keep
-    at most m/2 (trial, edge) pairs, degrees are one ``bincount`` of (trial,
+    Only the nonzero words are read: their edges are gathered once, and their
+    bytes transposed so that each 8-trial byte is contiguous.  Trials then go
+    8 at a time, one byte of each nonzero word.  While those 8 trials keep at
+    most m/2 (trial, edge) pairs, degrees are one ``bincount`` of (trial,
     vertex) keys and co-degree maxima the longest runs of equal sorted
     (trial, pair) keys, so no table of all pairs per trial is built.  Denser
-    trials go one at a time through :func:`surviving_degrees` and
-    :func:`surviving_pair_counts`, which is faster there (measured on K3 at
-    N = 30 and 100) and keeps the arrays to one trial's size.
+    trials go one at a time, a ``bincount`` over the nonzero words' edges
+    that the trial keeps, which is faster there (measured on K3 at N = 30 and
+    100) and keeps the arrays to one trial's size.
+
+    On a linear H (every co-degree at most 1, as for triangles of K_N) the
+    co-degree maximum of a trial is H's own when some edge survives and 0
+    otherwise, so no pair is counted and no pair index is built.
     """
-    n = H.n
-    octets = alive.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    n, top = H.n, degree_profile(H).max_codegree
+    pairs = H.pair_index if codeg and top > 1 else None
+    live = np.flatnonzero(alive)
+    edges = H.edges_arr[live]
+    pair_ids = pairs.edge_pair_ids[live] if pairs is not None else None
+    # octets[b, w]: byte b of the w-th nonzero word, i.e. its trials 8b..8b+7
+    octets = alive[live].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T.copy()
     out = np.zeros((3, size), dtype=np.int64)
     for lo in range(0, size, 8):
-        byte, span = octets[:, lo // 8], slice(lo, min(lo + 8, size))
+        byte, span = octets[lo // 8], slice(lo, min(lo + 8, size))
         count = span.stop - lo
         if 2 * int(np.bitwise_count(byte).sum()) <= H.m:
-            edge = np.flatnonzero(byte)
-            row, trial = np.nonzero(np.unpackbits(byte[edge][:, None], axis=1, bitorder="little"))
-            edge = edge[row]
-            keys = trial[:, None] * n + H.edges_arr[edge]
+            word = np.flatnonzero(byte)
+            row, trial = np.nonzero(np.unpackbits(byte[word][:, None], axis=1, bitorder="little"))
+            word = word[row]
+            keys = trial[:, None] * n + edges[word]
             deg = np.bincount(keys.ravel(), minlength=8 * n).reshape(8, n)[:count]
-            if codeg and H.pair_index.count:
-                pairs = H.pair_index
-                keys = np.sort(trial[:, None] * pairs.count + pairs.edge_pair_ids[edge], axis=None)
+            if pairs is not None:
+                keys = np.sort(trial[:, None] * pairs.count + pair_ids[word], axis=None)
                 starts = np.flatnonzero(np.diff(keys, prepend=-1))
                 runs = np.diff(starts, append=keys.size)
                 np.maximum.at(out[2, span], keys[starts] // pairs.count, runs)
         else:
             masks = [(byte & (1 << i)) != 0 for i in range(count)]
-            deg = np.stack([surviving_degrees(H, mask) for mask in masks])
-            if codeg:
-                out[2, span] = [surviving_pair_counts(H, mask).max(initial=0) for mask in masks]
+            deg = np.stack([np.bincount(edges[mask].ravel(), minlength=n) for mask in masks])
+            if pairs is not None:
+                out[2, span] = [
+                    np.bincount(pair_ids[mask].ravel(), minlength=pairs.count).max()
+                    for mask in masks
+                ]
         out[0, span] = deg.max(axis=1)
         low = deg.min(axis=1, initial=H.m + 1, where=deg > 0)  # H.m + 1: no edge survives
         out[1, span] = np.where(low > H.m, 0, low)
+    if codeg and pairs is None:
+        out[2] = np.where(out[0] > 0, top, 0)
     return out
 
 

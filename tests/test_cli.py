@@ -92,10 +92,13 @@ def test_hgr_rejects_missing_final_newline():
         "02 3 1\n0 1\n",
         "2 3 1\n0 １\n",
         "2 3 1\n0 99999999999999999999\n",
+        "1 9223372036854775806 1\n9223372036854775807\n",
+        "1 9223372036854775806 1\n9999999999999999999\n",
         "1 100000000000000000000 1\n9223372036854775806\n",
     ],
     ids=[
-        "leading-zero", "header-leading-zero", "fullwidth-digit", "id-above-int64", "n-above-int64"
+        "leading-zero", "header-leading-zero", "fullwidth-digit", "id-above-int64",
+        "id-int64-max", "id-19-nines", "n-above-int64",
     ],
 )
 def test_hgr_rejects_noncanonical_numbers(tmp_path, text):
@@ -106,6 +109,15 @@ def test_hgr_rejects_noncanonical_numbers(tmp_path, text):
     code, out, err = run(["stats", "--in", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_hgr_round_trips_ids_of_every_width():
+    # 1 to 19 digits, neighbours of every width on one line, up to 2^63 - 3
+    ids = sorted({10**w for w in range(19)} | {10**w - 1 for w in range(1, 19)} | {2**63 - 3})
+    H = Hypergraph(n=2**63 - 2, k=2, edges=list(zip(ids, ids[1:])))
+    text = dumps(H)
+    assert loads(text) == H and dumps(loads(text)) == text
+    assert loads("1 9223372036854775806 1\n9223372036854775805\n").edges == ((2**63 - 3,),)
 
 
 def test_hgr_disjoint_round_trip(tmp_path):
@@ -352,7 +364,7 @@ def test_ext_expected_record():
 def test_exit_codes():
     code, _, _ = run(["gen", "--family", "random", "--n", "4", "--m", "5", "--k", "3", "--seed", "1"])
     assert code == 2  # infeasible
-    code, _, _ = run(["gen", "--family", "complete", "--r", "3", "--N", "500", "--seed", "1"])
+    code, _, _ = run(["gen", "--family", "complete", "--r", "3", "--N", "500"])
     assert code == 2  # enumeration budget
     code, _, _ = run(["gen", "--family", "nonsense"])
     assert code == 1  # usage
@@ -449,6 +461,25 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, comma
     code, out, err = run(NO_EFFECT_ARGV[command] + [flag, NO_EFFECT_VALUES[flag]])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--family", "disjoint", "--m", "2", "--k", "3"], ["--r", "5"]),
+    (["gen", "--family", "complete", "--r", "3", "--N", "5"], ["--seed", "3"]),
+    (["gen", "--family", "complete-bipartite", "--a", "2", "--b-side", "2", "--N", "5"],
+     ["--k", "3"]),
+    (["gen", "--family", "random", "--n", "9", "--m", "5", "--k", "3", "--seed", "3"],
+     ["--N", "5"]),
+    (["regime", "--family", "complete", "--r", "3", "--N", "10", "--c1", "0.05"], ["--a", "2"]),
+    (["regime", "--family", "complete-bipartite", "--a", "2", "--b-side", "2", "--N", "10",
+      "--c1", "0.05"], ["--r", "3"]),
+], ids=["gen-disjoint-r", "gen-complete-seed", "gen-bipartite-k", "gen-random-N",
+        "regime-complete-a", "regime-bipartite-r"])
+def test_flags_a_family_does_not_read_are_rejected(argv, flag):
+    assert run(argv)[0] == 0
+    code, out, err = run(argv + flag)
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {' '.join(flag)}\n"
 
 
 K3_N5 = ["--in", "k3.hgr"]

@@ -1,15 +1,21 @@
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertail import (
     Hypergraph,
+    NicenessParams,
+    TrialConfig,
     codegree,
     complete,
     degree_profile,
     stats_of,
     subgraph_hypergraph,
+    verify_p4,
 )
 from hypertail.generators import disjoint_edges
 
@@ -100,8 +106,6 @@ def test_triangle_hypergraph_scaling(N):
 def hypergraphs(draw):
     n = draw(st.integers(min_value=2, max_value=10))
     k = draw(st.integers(min_value=1, max_value=min(4, n)))
-    from itertools import combinations
-
     universe = list(combinations(range(n), k))
     edges = draw(st.lists(st.sampled_from(universe), unique=True, max_size=len(universe)))
     return Hypergraph(n=n, k=k, edges=edges)
@@ -158,3 +162,76 @@ def test_degree_profile_is_pure():
         b.min_degree,
         b.max_codegree,
     )
+
+
+def reference_pair_index(H):
+    """(count, u, v, edge_pair_ids) by ``np.unique`` over the (a, b) rows of the
+    pairs inside the edges, the way the library built its pair index before
+    it ranked sorted codes.  It unique-sorts whole rows where the library
+    once sorted codes a * n + b, which overflowed int64 past n = 3 037 000 499."""
+    pairs = np.array(list(combinations(range(H.k), 2)), dtype=np.int64).reshape(-1, 2)
+    rows = np.stack((H.edges_arr[:, pairs[:, 0]], H.edges_arr[:, pairs[:, 1]]), axis=-1)
+    uniq, inverse = np.unique(rows.reshape(-1, 2), axis=0, return_inverse=True)
+    return len(uniq), uniq[:, 0], uniq[:, 1], inverse.reshape(H.m, len(pairs))
+
+
+def reference_max_codegree(H):
+    return max(Counter(pair for e in H.edges for pair in combinations(e, 2)).values(), default=0)
+
+
+@st.composite
+def sparse_hypergraphs(draw):
+    """Small hypergraphs whose ids are 0..n-1 with n <= 10 (int32 pair codes),
+    or a few sparse ids near 2^20 (int64 codes) or near 2^40 (codes from
+    ranks), with n 10 above them."""
+    k = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([None, 2**20, 2**40]))
+    if top is None:
+        n = draw(st.integers(k, 10))
+        ids = list(range(n))
+    else:
+        n = top + 10
+        ids = sorted(draw(st.sets(st.integers(top - 10, n - 1), min_size=k, max_size=8)))
+    universe = list(combinations(ids, k))
+    edges = draw(st.lists(st.sampled_from(universe), unique=True, max_size=12))
+    return Hypergraph(n=n, k=k, edges=edges)
+
+
+@given(sparse_hypergraphs())
+@example(Hypergraph(n=2**40, k=2, edges=[(2**40 - 3, 2**40 - 1), (2**40 - 2, 2**40 - 1)]))
+@example(Hypergraph(n=5, k=3, edges=[]))
+@settings(max_examples=200, deadline=None)
+def test_pair_index_and_max_codegree_match_the_reference(H):
+    pairs = H.pair_index
+    count, u, v, ids = reference_pair_index(H)
+    assert pairs.count == count
+    assert pairs.u.tolist() == u.tolist() and pairs.v.tolist() == v.tolist()
+    assert pairs.edge_pair_ids.tolist() == ids.tolist()
+    assert H.max_codegree == reference_max_codegree(H)
+    if H.n < 2**40:  # an n-sized degree array
+        assert degree_profile(H).max_codegree == reference_max_codegree(H)
+
+
+def test_pair_codes_do_not_overflow_past_int64():
+    n = 2**40
+    H = Hypergraph(n=n, k=2, edges=[(n - 3, n - 1), (n - 2, n - 1)])
+    pairs = H.pair_index
+    assert pairs.u.tolist() == [n - 3, n - 2]
+    assert pairs.v.tolist() == [n - 1, n - 1]
+    assert pairs.edge_pair_ids.tolist() == [[0], [1]]
+    assert H.max_codegree == 1
+    # two edges sharing the pair {n - 2, n - 1}
+    H = Hypergraph(n=n, k=3, edges=[(0, n - 2, n - 1), (1, n - 2, n - 1)])
+    assert H.max_codegree == 2
+    assert H.pair_index.u.tolist() == [0, 0, 1, 1, n - 2]
+
+
+def test_linear_hypergraphs_build_no_pair_index():
+    H = subgraph_hypergraph(complete(3), 8)  # two triangles share at most one edge of K_8
+    assert stats_of(H).max_codegree == 1
+    assert "pair_index" not in vars(H)
+    params = NicenessParams(p=0.3, lam=1.0, gamma_cap=2.0, b=1)
+    evidence = verify_p4(H, params, [0.3, 0.9], TrialConfig(master_seed=1, trials=70, workers=2))
+    assert all(point.trigger for point in evidence.points)
+    assert {point.max_codeg_seen for point in evidence.points} == {1}
+    assert "pair_index" not in vars(H)

@@ -426,6 +426,11 @@ def small_hypergraphs(draw):
          p=0.05, q_offsets=[0.25])  # co-degrees up to 6, from sparse and from dense trials
 @example(H=Hypergraph(70_000, 2, [(0, 1), (1, 69_999), (5, 6)]), trials=65, workers=2, seed=7,
          p=0.3, q_offsets=[0.5])  # a block drawn 14 rows at a time, across byte boundaries
+@example(H=subgraph_hypergraph(complete(3), 8), trials=77, workers=2, seed=11, p=0.3,
+         q_offsets=[0.0, 0.6])  # linear, triggered: 8-trial groups sparse at q = 0.3 and
+# dense at q = 0.9, and a last block of 13 trials
+@example(H=Hypergraph(3, 1, [(0,), (1,), (2,)]), trials=13, workers=1, seed=2, p=0.3,
+         q_offsets=[0.0])  # max co-degree 0, triggered: sqrt(p/q) 3 ln 3 = 3.3 >= m = 3
 @settings(max_examples=60, deadline=None)
 def test_blocks_match_the_per_trial_reference(H, trials, workers, seed, p, q_offsets):
     cfg = TrialConfig(master_seed=seed, trials=trials, workers=workers)
