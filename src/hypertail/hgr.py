@@ -5,6 +5,11 @@ decimals below 2^63 - 1 without leading zeros, separated by single spaces.
 Every edge is sorted ascending, the edge list is sorted lexicographically,
 lines end with LF, and there is no trailing whitespace.  Readers reject any
 deviation.
+
+The reader works on the file's bytes, in whole-line chunks of about
+``_CHUNK`` bytes: it checks and decodes each chunk into its rows of one
+preallocated (m, k) array, so every temporary of a chunk stays in a core's L2
+cache, and builds the ``Hypergraph`` once from the full array.
 """
 
 from __future__ import annotations
@@ -12,6 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Hypergraph
+
+# Bytes per parse chunk.  Reading the 2.3 MB K3 N=100 file, chunks of
+# 64-512 KiB were fastest and 128 KiB by a hair; 16-32 KiB chunks pay more
+# per chunk, and 1 MiB or more spill their temporaries out of a core's 2 MB
+# L2 (2-vCPU Xeon, numpy 2.4.6).
+_CHUNK = 1 << 17
 
 
 class HgrFormatError(ValueError):
@@ -28,15 +39,15 @@ def write_hgr(H: Hypergraph, path) -> None:
         fh.write(dumps(H))
 
 
-def _decode(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The numbers whose digits are ``buf[starts:ends]``, as int64.
+def _decode(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The numbers of ``widths`` digits ending before ``buf[ends]``, as
+    uint32 or uint64.
 
     Digit j from the right of each number is ``buf[ends - 1 - j]``.  The
     digits add up in uint32 while no number has more than 9 of them, else in
     uint64, which holds every 19-digit number; a wider number, or one of
     2^63 - 1 or more, raises HgrFormatError.
     """
-    widths = ends - starts
     width = int(widths.max(initial=0))
     if width > 19:
         raise HgrFormatError("vertex ids must be below 2^63 - 1")
@@ -51,37 +62,74 @@ def _decode(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray
         values += digit.astype(acc) * acc(10**j)
     if values.max(initial=0) >= 2**63 - 1:
         raise HgrFormatError("vertex ids must be below 2^63 - 1")
-    return values.astype(np.int64)
+    return values
 
 
-def loads(text: str) -> Hypergraph:
-    if not text.endswith("\n"):
-        raise HgrFormatError("file must end with a newline")
-    if "\r" in text:
-        raise HgrFormatError("file must use LF line endings")
-    raw = text.encode()
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    is_sep = (buf == ord(" ")) | (buf == ord("\n"))
-    ends = np.flatnonzero(is_sep)  # the separator after each number
+def _numbers(raw: bytes, lo: int, hi: int, line: int):
+    """The whole lines ``raw[lo:hi]`` as a uint8 array, the separator after
+    each number in it, the numbers' widths, and which separators are LF.
+
+    Raises HgrFormatError, numbering lines from ``line``, at the first line
+    with a byte that is not a digit, space or LF, an empty number, or a
+    leading zero.
+    """
+    buf = np.frombuffer(raw, dtype=np.uint8, count=hi - lo, offset=lo)
+    ends = np.flatnonzero(buf < ord("0"))  # digits are the bytes "0" to "9"
     starts = np.concatenate(([0], ends[:-1] + 1))
-    digit = (buf >= ord("0")) & (buf <= ord("9"))
-    padded = starts[(ends == starts) | (buf[starts] == ord("0")) & (ends - starts > 1)]
-    stray = np.concatenate((np.flatnonzero(~(digit | is_sep)), padded))
+    widths = ends - starts
+    sep = buf[ends]
+    nl = sep == ord("\n")
+    stray = np.concatenate((
+        ends[~nl & (sep != ord(" "))],
+        np.flatnonzero(buf > ord("9")),
+        starts[(widths == 0) | (buf[starts] == ord("0")) & (widths > 1)],
+    ))
     if stray.size:
-        line = raw.count(b"\n", 0, stray.min()) + 1
+        line += raw.count(b"\n", lo, lo + int(stray.min()))
         raise HgrFormatError(f"line {line}: not single-spaced ASCII decimals without leading zeros")
-    line_ends = np.flatnonzero(buf[ends] == ord("\n"))  # the last number of each line
-    if line_ends[0] != 2:
+    return buf, ends, widths, nl
+
+
+def _chunks(raw: bytes, lo: int):
+    """(lo, hi) of consecutive whole-line pieces of ``raw[lo:]``, each of at
+    most _CHUNK bytes unless it is one longer line."""
+    while lo < len(raw):
+        hi = raw.rfind(b"\n", lo, lo + _CHUNK) + 1 or raw.index(b"\n", lo) + 1
+        yield lo, hi
+        lo = hi
+
+
+def loads(text: str | bytes) -> Hypergraph:
+    """The hypergraph of an HGR file's text or bytes; HgrFormatError (a
+    ValueError) if they are not in canonical form."""
+    raw = text.encode() if isinstance(text, str) else text
+    if not raw.endswith(b"\n"):
+        raise HgrFormatError("file must end with a newline")
+    if b"\r" in raw:
+        raise HgrFormatError("file must use LF line endings")
+    head = raw.index(b"\n") + 1
+    if len(_numbers(raw, 0, head, 1)[1]) != 3:
         raise HgrFormatError("header must be 'k n m'")
-    k, n, m = map(int, text[: ends[2]].split(" "))
+    k, n, m = map(int, raw[: head - 1].split(b" "))
     if max(k, n, m) >= np.iinfo(np.int64).max:
         raise HgrFormatError("header numbers must be below 2^63 - 1")
-    if len(line_ends) - 1 != m:
-        raise HgrFormatError(f"expected {m} edge lines, found {len(line_ends) - 1}")
-    wrong = np.flatnonzero(np.diff(line_ends) != k)
-    if wrong.size:
-        raise HgrFormatError(f"line {wrong[0] + 2}: expected {k} vertex ids")
-    rows = _decode(buf, starts[3:], ends[3:]).reshape(m, k)
+    # each id takes a digit and a separator, so when m*k ids would not fit
+    # in the file, some line fails the id count before the array fills
+    ids = np.empty(min(m * k, len(raw) // 2), dtype=np.int64)
+    done = 0  # edge lines before the next chunk; edge line i is line i + 2
+    for lo, hi in _chunks(raw, head):
+        buf, ends, widths, nl = _numbers(raw, lo, hi, done + 2)
+        lines = np.count_nonzero(nl)
+        if done + lines <= m:  # else the edge-line count is wrong
+            # k ids per line: the LFs end exactly the numbers k, 2k, ...
+            if not (len(nl) == lines * k and nl[k - 1 :: k].all()):
+                wrong = np.flatnonzero(np.diff(np.flatnonzero(nl), prepend=-1) != k)
+                raise HgrFormatError(f"line {done + 2 + wrong[0]}: expected {k} vertex ids")
+            ids[done * k : done * k + len(ends)] = _decode(buf, ends, widths)
+        done += lines
+    if done != m:
+        raise HgrFormatError(f"expected {m} edge lines, found {done}")
+    rows = ids.reshape(m, k)
     H = Hypergraph(n=n, k=k, edges=rows)
     if not np.array_equal(rows, H.edges_arr):
         raise HgrFormatError("edges must be sorted ascending and listed in lexicographic order")
@@ -89,5 +137,5 @@ def loads(text: str) -> Hypergraph:
 
 
 def read_hgr(path) -> Hypergraph:
-    with open(path, "r", newline="") as fh:
+    with open(path, "rb") as fh:
         return loads(fh.read())

@@ -318,7 +318,8 @@ def check_preconditions(state: RoundState, lam: float, gamma_cap: float) -> Prec
     H, schedule, i = state.H, state.schedule, state.index
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
-    delta_max = degree_profile(H).max_degree
+    profile = degree_profile(H)
+    delta_max = profile.max_degree
     if p**k * m == 0:  # no edges, or p^k underflows
         raise InfeasibleError(f"the round conditions divide by p^k m, which is 0 at m={m}, p={p}")
     log_n = math.log(n)
@@ -340,7 +341,10 @@ def check_preconditions(state: RoundState, lam: float, gamma_cap: float) -> Prec
     holds_codeg = True
     if state.codeg_trigger and state.edge_count:  # so some degree is positive
         deg = state.deg
-        max_codeg = int(surviving_pair_counts(H, state.alive).max(initial=0))  # k = 1: no pairs
+        # on a linear H (every co-degree at most 1) the surviving maximum is
+        # H's own once an edge survives: 1, or 0 for k = 1, which has no pairs
+        top = profile.max_codegree
+        max_codeg = top if top <= 1 else int(surviving_pair_counts(H, state.alive).max())
         holds_codeg = codeg_holds(max_codeg, int(deg[deg > 0].min()), n)
 
     t1 = (p**k * m) ** -0.5 * eps ** (k * (i + 1)) * m + (1 - eps) * lam * math.sqrt(

@@ -7,12 +7,13 @@ operations; they are kept here as brute-force oracles.
 
 import re
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertail import Hypergraph
+from hypertail import Hypergraph, complete, hgr, subgraph_hypergraph
 from hypertail.hgr import dumps, loads
 
 
@@ -152,6 +153,27 @@ def test_reader_matches_reference(text):
     assert (H is None) == (expected is None)
     if H is not None:
         assert (H.k, H.n, H.edges, H.incidence) == expected
+
+
+@given(mutated_hgr(), st.integers(min_value=1, max_value=16))
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_reference_across_chunks(text, chunk):
+    # chunks of a few bytes: most files span many, and many lines are longer
+    # than one chunk
+    expected = _outcome(reference_loads, text)
+    with mock.patch.object(hgr, "_CHUNK", chunk):
+        H = _outcome(loads, text)
+    assert (H is None) == (expected is None)
+    if H is not None:
+        assert (H.k, H.n, H.edges, H.incidence) == expected
+
+
+def test_reader_round_trips_k3_n30_in_small_chunks(monkeypatch):
+    # lines of 6 to 12 bytes: an 8-byte chunk holds one line, or is one longer line
+    monkeypatch.setattr(hgr, "_CHUNK", 8)
+    H = subgraph_hypergraph(complete(3), 30)
+    text = dumps(H)
+    assert loads(text) == H and loads(text.encode()) == H
 
 
 def _edges_or_message(n, k, rows):

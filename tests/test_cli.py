@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypertail
-from hypertail import Hypergraph, complete, disjoint_edges, subgraph_hypergraph
+from hypertail import Hypergraph, complete, disjoint_edges, hgr, subgraph_hypergraph
 from hypertail.cli import dispatch
 from hypertail.hgr import HgrFormatError, dumps, loads, read_hgr, write_hgr
 
@@ -134,6 +134,64 @@ def test_hgr_round_trips_random_hypergraphs(seed):
 
     H = random_uniform(9, 8, 3, seed=seed)
     assert loads(dumps(H)) == H
+
+
+_K3N8 = dumps(subgraph_hypergraph(complete(3), 8)).split("\n")[:-1]  # 57 lines, 452 bytes
+_BAD = "not single-spaced ASCII decimals without leading zeros"
+
+
+def _k3n8(*edge_lines):
+    """K3 on K_8 as HGR text, with lines 41.. replaced by ``edge_lines``."""
+    return "\n".join(_K3N8[:40] + list(edge_lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_k3n8("9 24 25 ", *_K3N8[41:]), f"line 41: {_BAD}"),
+        (_k3n8("9 024 25", *_K3N8[41:]), f"line 41: {_BAD}"),
+        (_k3n8("9 24 2x", *_K3N8[41:]), f"line 41: {_BAD}"),
+        (_k3n8("9 24", *_K3N8[41:]), "line 41: expected 3 vertex ids"),
+        (_k3n8(*_K3N8[41:]), "expected 56 edge lines, found 55"),
+        (_k3n8(*_K3N8[40:41], *_K3N8[40:]), "expected 56 edge lines, found 57"),
+        (_k3n8("9 24 9223372036854775807", *_K3N8[41:]), "vertex ids must be below 2^63 - 1"),
+        (
+            _k3n8("9 25 24", *_K3N8[41:]),
+            "edges must be sorted ascending and listed in lexicographic order",
+        ),
+        (
+            _k3n8(_K3N8[41], _K3N8[40], *_K3N8[42:]),
+            "edges must be sorted ascending and listed in lexicographic order",
+        ),
+        (_k3n8(*_K3N8[40:])[:-1], "file must end with a newline"),
+        (_k3n8(*_K3N8[40:]).replace("\n", "\r\n"), "file must use LF line endings"),
+    ],
+    ids=[
+        "trailing-space", "leading-zero", "non-digit", "short-line", "line-too-few",
+        "line-too-many", "id-int64-max", "unsorted-edge", "unsorted-edge-list",
+        "no-final-newline", "crlf",
+    ],
+)
+def test_hgr_messages_past_the_first_chunk(monkeypatch, text, message):
+    # the fault sits about 300 bytes in: several 32-byte chunks after the first
+    for chunk in (32, len(text)):
+        monkeypatch.setattr(hgr, "_CHUNK", chunk)
+        with pytest.raises(HgrFormatError) as exc:
+            loads(text)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "raw", [b"2 3 1\n0 \xff\n", "2 3 1\n0 １\n".encode()], ids=["byte-ff", "fullwidth-digit"]
+)
+def test_hgr_rejects_non_ascii_bytes(tmp_path, raw):
+    # the reader never decodes the file, so a byte that is not UTF-8 is one
+    # more stray byte
+    path = tmp_path / "h.hgr"
+    path.write_bytes(raw)
+    with pytest.raises(HgrFormatError, match=f"^line 2: {_BAD}$"):
+        read_hgr(path)
+    assert run(["stats", "--in", str(path)]) == (1, "", f"error: line 2: {_BAD}\n")
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))

@@ -359,6 +359,18 @@ def test_preconditions_are_pure():
     assert a == b
 
 
+def test_preconditions_on_a_linear_H_build_no_pair_index():
+    # K3 on K_N is linear: with an edge alive, the surviving co-degree maximum is 1
+    H = subgraph_hypergraph(complete(3), 30)
+    schedule = build_schedule(0.25, H.n, eps_range=(0.1, 0.5), force_rounds=2)
+    states = run_exposure(H, schedule, TrialStream(5, 0))
+    reports = [check_preconditions(state, lam=2.0, gamma_cap=4.0) for state in states]
+    assert all(state.codeg_trigger and state.edge_count for state in states)
+    assert "pair_index" not in vars(H) and H.max_codegree == 1
+    for state, report in zip(states, reports):
+        assert report.holds[3] == recount_codeg_condition(H, state.alive.tolist(), True)
+
+
 def test_hand_built_state_gives_the_chains_report():
     for H in (subgraph_hypergraph(complete(3), 10), disjoint_edges(50, 3)):
         schedule, states = make_schedule_and_states(H, seed=53)
