@@ -25,6 +25,7 @@ from .percolation import (
     codeg_holds,
     codeg_trigger,
     degree_cap,
+    prepare_extremes,
     run_exposure,
     surviving_edge_counts,
     surviving_edge_mask,
@@ -219,8 +220,12 @@ def _per_block(cfg: TrialConfig, lane: int, H: Hypergraph, q: float, body, first
 
     Trial t keeps vertex v when ``TrialStream(cfg.master_seed, first + t,
     lane).uniforms(n)[v] < q``.  Bit j of ``alive[e]`` says whether edge e
-    survives in the block's trial j; bits j >= ``size`` are 0.  ``cfg.workers``
-    threads split whole blocks, which changes no result.
+    survives in the block's trial j; bits j >= ``size`` are 0.  ``body``
+    reduces all its trials at once, as :func:`surviving_edge_counts` and
+    :func:`surviving_extremes` do.  ``cfg.workers`` threads split whole
+    blocks, which changes no result; the caller derives what ``body`` reads
+    of H's cached data beforehand, so that the threads share it (see
+    :func:`prepare_extremes`).
     """
     rows = max(1, min(BLOCK, DRAW_UNIFORMS // H.n))
 
@@ -318,10 +323,7 @@ def verify_p4(
     for qi, q in enumerate(q_grid):
         cap = degree_cap(q, H, params.gamma_cap)
         trigger = codeg_trigger(params.p, q, H)
-        # derived before the threads start: degree_profile(H), which the trigger
-        # read, and the pair index where surviving_extremes counts pairs
-        if trigger and degree_profile(H).max_codegree > 1:
-            H.pair_index
+        prepare_extremes(H, q, trigger)  # before the threads start
 
         def block(alive: np.ndarray, size: int) -> list[tuple[int, int, bool, bool]]:
             dmaxes, dmins, cmaxes = surviving_extremes(H, alive, size, codeg=trigger).tolist()

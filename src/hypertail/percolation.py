@@ -132,62 +132,198 @@ def surviving_edge_counts(alive: np.ndarray) -> np.ndarray:
     return (hist.reshape(8, 256) @ _BYTE_BITS).ravel()  # row b, column i: trial 8b + i
 
 
+# The listing path: at most _TALLY entries in a (trials, n) degree table and
+# _TALLY keys per bincount.  A block whose set bits exceed _DENSE per edge
+# takes the counter planes, each adder tree over at most _PLANE_WORDS words.
+_TALLY = 1 << 19
+_DENSE = 1.0
+_PLANE_WORDS = 1 << 17
+_ONE = np.uint64(1)
+
+
 def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool) -> np.ndarray:
     """A (3, size) array whose column j holds, for trial j of a block's
     ``alive`` words: the max surviving degree, the min positive surviving
     degree (0 when no edge survives) and, when ``codeg``, the max surviving
     co-degree (else 0).
 
-    Only the nonzero words are read: their edges are gathered once, and their
-    bytes transposed so that each 8-trial byte is contiguous.  Trials then go
-    8 at a time, one byte of each nonzero word.  While those 8 trials keep at
-    most m/2 (trial, edge) pairs, degrees are one ``bincount`` of (trial,
-    vertex) keys and co-degree maxima the longest runs of equal sorted
-    (trial, pair) keys, so no table of all pairs per trial is built.  Denser
-    trials go one at a time, a ``bincount`` over the nonzero words' edges
-    that the trial keeps, which is faster there (measured on K3 at N = 30 and
-    100) and keeps the arrays to one trial's size.
+    No trial is visited on its own.  A sparse block, with at most
+    ``_DENSE * m`` set bits, lists every (edge, trial) set bit of its nonzero
+    words at once (:func:`_set_bits`) and tallies them into a (trial, vertex)
+    degree table (:func:`_listed_extremes`); its co-degree maxima are the
+    longest runs of equal sorted (trial, pair) keys.  A denser block adds its
+    words per vertex in bit-sliced counters and reads each trial's extremes
+    off the counter planes (:func:`_plane_extremes`), at a cost that does not
+    grow with q; it builds :attr:`Hypergraph.incidence_buckets` on first use.
 
     On a linear H (every co-degree at most 1, as for triangles of K_N) the
     co-degree maximum of a trial is H's own when some edge survives and 0
     otherwise, so no pair is counted and no pair index is built.
     """
-    n, top = H.n, degree_profile(H).max_codegree
-    pairs = H.pair_index if codeg and top > 1 else None
-    live = np.flatnonzero(alive)
-    edges = H.edges_arr[live]
-    pair_ids = pairs.edge_pair_ids[live] if pairs is not None else None
-    # octets[b, w]: byte b of the w-th nonzero word, i.e. its trials 8b..8b+7
-    octets = alive[live].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8).T.copy()
-    out = np.zeros((3, size), dtype=np.int64)
-    for lo in range(0, size, 8):
-        byte, span = octets[lo // 8], slice(lo, min(lo + 8, size))
-        count = span.stop - lo
-        if 2 * int(np.bitwise_count(byte).sum()) <= H.m:
-            word = np.flatnonzero(byte)
-            row, trial = np.nonzero(np.unpackbits(byte[word][:, None], axis=1, bitorder="little"))
-            word = word[row]
-            keys = trial[:, None] * n + edges[word]
-            deg = np.bincount(keys.ravel(), minlength=8 * n).reshape(8, n)[:count]
-            if pairs is not None:
-                keys = np.sort(trial[:, None] * pairs.count + pair_ids[word], axis=None)
-                starts = np.flatnonzero(np.diff(keys, prepend=-1))
-                runs = np.diff(starts, append=keys.size)
-                np.maximum.at(out[2, span], keys[starts] // pairs.count, runs)
-        else:
-            masks = [(byte & (1 << i)) != 0 for i in range(count)]
-            deg = np.stack([np.bincount(edges[mask].ravel(), minlength=n) for mask in masks])
-            if pairs is not None:
-                out[2, span] = [
-                    np.bincount(pair_ids[mask].ravel(), minlength=pairs.count).max()
-                    for mask in masks
-                ]
-        out[0, span] = deg.max(axis=1)
-        low = deg.min(axis=1, initial=H.m + 1, where=deg > 0)  # H.m + 1: no edge survives
-        out[1, span] = np.where(low > H.m, 0, low)
-    if codeg and pairs is None:
+    top = degree_profile(H).max_codegree
+    pairs = codeg and top > 1
+    if int(np.bitwise_count(alive).sum()) > _DENSE * H.m:
+        out = _plane_extremes(H, alive, size, pairs)
+    else:
+        out = _listed_extremes(H, alive, size, pairs)
+    if codeg and not pairs:
         out[2] = np.where(out[0] > 0, top, 0)
     return out
+
+
+def prepare_extremes(H: Hypergraph, q: float, codeg: bool) -> None:
+    """Derive what :func:`surviving_extremes` reads on the blocks of a
+    percolation at q, so that worker threads find it built: H's degree
+    profile, the pair index when it counts pairs, and the incidence buckets
+    when a full block is expected to take the counter planes (each edge
+    survives in q^k of its 64 trials).  A block that takes them all the same
+    builds them on first use."""
+    top = degree_profile(H).max_codegree
+    pairs = codeg and top > 1
+    if pairs:
+        H.pair_index
+    if 64 * q**H.k > _DENSE:
+        H.incidence_buckets
+        if pairs:
+            H.pair_incidence_buckets
+
+
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index, bit) of every set bit of the uint64 ``words``, by peeling each
+    word's lowest set bit until no word is left nonzero."""
+    index = np.arange(len(words))
+    indices, bits = [index[:0]], [np.zeros(0, dtype=np.uint8)]
+    while words.size:
+        below = words - _ONE
+        lowest = np.bitwise_count(words ^ below)  # the lowest set bit's position + 1
+        lowest -= np.uint8(1)
+        bits.append(lowest)
+        indices.append(index)
+        words = words & below
+        keep = np.flatnonzero(words)
+        words, index = words[keep], index[keep]
+    return np.concatenate(indices), np.concatenate(bits)
+
+
+def _listed_extremes(H: Hypergraph, alive: np.ndarray, size: int, pairs: bool) -> np.ndarray:
+    """:func:`surviving_extremes` from the list of the block's set bits.
+
+    Degrees go into a (trials, n) table, one ``bincount`` of (trial, vertex)
+    keys per ``_TALLY`` keys of the list, for as many trials at a time as keep the
+    table within ``_TALLY`` entries.  The min positive degree of a row is
+    read with 0 wrapped to the top of uint64.
+    """
+    n, out = H.n, np.zeros((3, size), dtype=np.int64)
+    live = np.flatnonzero(alive != 0)  # faster than on the words themselves
+    word, trial = _set_bits(alive[live])
+    edge = live[word]
+    group = max(1, min(size, _TALLY // n))
+    cuts = [0, len(edge)]
+    if group < size:  # list the bits trial by trial: a radix sort of 8-bit trials
+        order = np.argsort(trial, kind="stable")
+        edge, trial = edge[order], trial[order]
+        cuts = np.searchsorted(trial, np.arange(0, size + group, group)).tolist()
+    step = max(1, _TALLY // H.k)
+    for lo, a, b in zip(range(0, size, group), cuts, cuts[1:]):
+        span, deg = slice(lo, min(lo + group, size)), None
+        for c in range(a, max(b, a + 1), step):  # once at least, for the table
+            chunk = slice(c, min(c + step, b))
+            keys = np.take(H.edges_arr, edge[chunk], axis=0)  # faster than [] here
+            keys += (trial[chunk] * np.intp(n) - lo * n)[:, None]
+            tally = np.bincount(keys.ravel(), minlength=(span.stop - lo) * n)
+            deg = tally if deg is None else np.add(deg, tally, out=deg)
+        deg = deg.reshape(-1, n)
+        out[0, span] = deg.max(axis=1)
+        deg = deg.view(np.uint64)
+        deg -= _ONE
+        out[1, span] = deg.min(axis=1) + _ONE
+    if pairs:
+        index = H.pair_index
+        keys = index.edge_pair_ids[edge] + trial.astype(np.int64)[:, None] * index.count
+        keys = keys.ravel()
+        keys.sort()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        runs = np.diff(starts, append=keys.size)
+        np.maximum.at(out[2], keys[starts] // index.count, runs)
+    return out
+
+
+def _plane_extremes(H: Hypergraph, alive: np.ndarray, size: int, pairs: bool) -> np.ndarray:
+    """:func:`surviving_extremes` from bit-sliced counters: bit j of
+    ``planes[i, v]`` is bit i of vertex v's degree in trial j."""
+    words = np.append(alive, np.uint64(0))  # the padding id m reads 0
+    out = np.zeros((3, size), dtype=np.int64)
+    planes = _counter_planes(H.incidence_buckets, words)
+    out[0] = _trial_values(_top_bits(planes, ~np.uint64(0)), size)
+    # the min positive degree is the max of the complemented counters among
+    # the vertices with a positive degree
+    positive = np.bitwise_or.reduce(planes, axis=0)
+    low = _top_bits(~planes, positive)
+    out[1] = _trial_values(~low & np.bitwise_or.reduce(positive), size)
+    if pairs:
+        planes = _counter_planes(H.pair_incidence_buckets, words)
+        out[2] = _trial_values(_top_bits(planes, ~np.uint64(0)), size)
+    return out
+
+
+def _counter_planes(buckets: tuple[np.ndarray, ...], words: np.ndarray) -> np.ndarray:
+    """The (bits, columns) counter planes of ``words`` summed down each
+    column of each bucket table (see :func:`core._buckets`), in column
+    chunks of at most ``_PLANE_WORDS`` words."""
+    depth = len(buckets[-1]).bit_length() if buckets else 0  # tables go by height
+    planes = np.zeros((depth, sum(table.shape[1] for table in buckets)), dtype=np.uint64)
+    c = 0
+    for table in buckets:
+        step = max(1, _PLANE_WORDS // len(table))
+        for lo in range(0, table.shape[1], step):
+            sums = _column_sums(words[table[:, lo : lo + step]])
+            planes[: len(sums), c : c + len(sums[0])] = sums
+            c += len(sums[0])
+    return planes
+
+
+def _column_sums(addends: np.ndarray) -> list[np.ndarray]:
+    """The bit-sliced sums down the columns of a (2^e, w) uint64 array: e + 1
+    planes of w words, least significant first, where bit j of plane i in
+    column c is bit i of the number of rows whose column c has bit j set.
+
+    An adder tree adds the first half of the rows to the second half, in
+    place, bit plane by bit plane (a ripple-carry adder), until one row is
+    left; the halves of a row-major array are contiguous.
+    """
+    level = [addends]
+    while len(level[0]) > 1:
+        half = len(level[0]) // 2
+        a, b = [p[:half] for p in level], [p[half:] for p in level]
+        carry = a[0] & b[0]
+        a[0] ^= b[0]
+        both = np.empty_like(carry)
+        for x, y in zip(a[1:], b[1:]):
+            np.bitwise_and(x, y, out=both)
+            y ^= x
+            np.bitwise_xor(y, carry, out=x)
+            carry &= y
+            carry |= both
+        level = a + [carry]
+    return [p[0] for p in level]
+
+
+def _top_bits(planes: np.ndarray, candidates) -> np.ndarray:
+    """Per plane i from the top, the OR over the columns still in the
+    running for the largest counter of each trial: bit j of entry i is bit i
+    of trial j's maximum over the columns whose ``candidates`` bit j is set."""
+    candidates = np.broadcast_to(candidates, planes.shape[1:]).copy()
+    bits = np.zeros(len(planes), dtype=np.uint64)
+    for i in range(len(planes) - 1, -1, -1):
+        bits[i] = np.bitwise_or.reduce(planes[i] & candidates)
+        candidates &= planes[i] | ~bits[i]
+    return bits
+
+
+def _trial_values(bits: np.ndarray, size: int) -> np.ndarray:
+    """The ``size`` integers whose bit i, for trial j, is bit j of ``bits[i]``."""
+    trial = (bits[:, None] >> np.arange(size, dtype=np.uint64)) & _ONE
+    return (trial << np.arange(len(bits), dtype=np.uint64)[:, None]).sum(axis=0).astype(np.int64)
 
 
 def surviving_degrees(H: Hypergraph, alive: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypertail import (
@@ -210,6 +210,36 @@ def test_pair_index_and_max_codegree_match_the_reference(H):
     assert H.max_codegree == reference_max_codegree(H)
     if H.n < 2**40:  # an n-sized degree array
         assert degree_profile(H).max_codegree == reference_max_codegree(H)
+
+
+def bucket_columns(buckets, pad):
+    """The padded columns of incidence bucket tables, unpadded, checking the
+    layout: ascending power-of-two heights, each under twice its column."""
+    heights = [len(table) for table in buckets]
+    assert heights == sorted(set(heights)) and all(h & (h - 1) == 0 for h in heights)
+    columns = []
+    for table in buckets:
+        for column in table.T.tolist():
+            ids = [e for e in column if e != pad]
+            assert column == ids + [pad] * (len(column) - len(ids)) and len(column) < 2 * len(ids)
+            columns.append(ids)
+    return sorted(columns)
+
+
+@given(sparse_hypergraphs())
+@example(Hypergraph(n=5, k=3, edges=[]))
+@example(Hypergraph(n=6, k=2, edges=[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)]))
+@settings(max_examples=100, deadline=None)
+def test_incidence_buckets_group_the_edges_of_each_vertex_and_pair(H):
+    assume(H.n < 2**40)  # the buckets count per vertex id
+    at_vertex, at_pair = defaultdict(list), defaultdict(list)
+    for e, (edge, pair_ids) in enumerate(zip(H.edges, H.pair_index.edge_pair_ids.tolist())):
+        for v in edge:
+            at_vertex[v].append(e)
+        for pair in pair_ids:
+            at_pair[pair].append(e)
+    assert bucket_columns(H.incidence_buckets, H.m) == sorted(at_vertex.values())
+    assert bucket_columns(H.pair_incidence_buckets, H.m) == sorted(at_pair.values())
 
 
 def test_pair_codes_do_not_overflow_past_int64():

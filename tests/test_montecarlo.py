@@ -184,6 +184,14 @@ def test_p4_triggered_disjoint_codegree_fails_honestly():
     assert not evidence.supported
 
 
+def test_p4_at_sparse_q_builds_no_incidence():
+    # mc-large's grid: blocks at q = 0.1 and 0.2 list their set bits
+    H = subgraph_hypergraph(complete(3), 30)
+    params = NicenessParams(p=0.05, lam=2, gamma_cap=10.0, b=1)
+    verify_p4(H, params, [0.1, 0.2], TrialConfig(master_seed=3, trials=100))
+    assert "incidence_buckets" not in vars(H) and "pair_index" not in vars(H)
+
+
 def test_p4_rejects_bad_grid():
     H = disjoint_edges(5, 3)
     params = NicenessParams(p=0.5, lam=1, gamma_cap=1, b=1)
@@ -431,6 +439,8 @@ def small_hypergraphs(draw):
 # dense at q = 0.9, and a last block of 13 trials
 @example(H=Hypergraph(3, 1, [(0,), (1,), (2,)]), trials=13, workers=1, seed=2, p=0.3,
          q_offsets=[0.0])  # max co-degree 0, triggered: sqrt(p/q) 3 ln 3 = 3.3 >= m = 3
+@example(H=Hypergraph(12, 3, list(combinations(range(12), 3))), trials=100, workers=2, seed=4,
+         p=0.05, q_offsets=[0.6])  # co-degrees up to 10 from the counter planes at q = 0.65
 @settings(max_examples=60, deadline=None)
 def test_blocks_match_the_per_trial_reference(H, trials, workers, seed, p, q_offsets):
     cfg = TrialConfig(master_seed=seed, trials=trials, workers=workers)

@@ -1,9 +1,12 @@
 import math
+from collections import Counter
+from contextlib import nullcontext
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertail import (
@@ -20,6 +23,7 @@ from hypertail import (
     run_exposure,
     subgraph_hypergraph,
 )
+from hypertail import percolation
 from hypertail.percolation import (
     RoundState,
     codeg_trigger,
@@ -27,6 +31,7 @@ from hypertail.percolation import (
     surviving_degrees,
     surviving_edge_counts,
     surviving_edge_mask,
+    surviving_extremes,
     surviving_pair_counts,
 )
 
@@ -115,6 +120,70 @@ def test_surviving_edge_counts_count_each_bit(words):
     alive[1::7] &= np.uint64(0x8000_0000_0000_0001)
     bits = [int(((alive >> np.uint64(j)) & np.uint64(1)).sum()) for j in range(64)]
     assert surviving_edge_counts(alive).tolist() == bits
+
+
+def recount_extremes(H, words, size, codeg):
+    """Independent oracle: per trial j, (max degree, min positive degree, max
+    co-degree or 0) of the edges whose word has bit j set."""
+    out = []
+    for j in range(size):
+        alive = [edge for edge, word in zip(H.edges, words) if word >> j & 1]
+        deg = Counter(v for edge in alive for v in edge)
+        pairs = Counter(pair for edge in alive for pair in combinations(edge, 2))
+        out.append((
+            max(deg.values(), default=0),
+            min(deg.values(), default=0),
+            max(pairs.values(), default=0) if codeg else 0,
+        ))
+    return [list(column) for column in zip(*out)]
+
+
+@st.composite
+def extremes_blocks(draw):
+    """(H, words, size): H of any k >= 1, m >= 0, irregular, possibly
+    non-linear, with isolated vertices; one word per edge, bits >= size 0."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    subsets = list(combinations(range(n), k))
+    edges = draw(st.lists(st.sampled_from(subsets), max_size=24, unique=True)) if subsets else []
+    size = draw(st.integers(1, 64))
+    word = st.one_of(
+        st.just(0), st.integers(0, size - 1).map(lambda bit: 1 << bit), st.integers(0, 2**size - 1)
+    )
+    words = draw(st.lists(word, min_size=len(edges), max_size=len(edges)))
+    return Hypergraph(n, k, edges), words, size
+
+
+K4_ON_6 = Hypergraph(6, 4, list(combinations(range(6), 4)))  # co-degrees 6
+
+
+@given(block=extremes_blocks(), codeg=st.booleans(), tight=st.booleans())
+@example(block=(K4_ON_6, [1 << 63, 0, 5] + [0] * 12, 64), codeg=True, tight=False)  # listing
+@example(block=(K4_ON_6, [2**64 - 1] * 15, 64), codeg=True, tight=False)  # planes
+@example(block=(K4_ON_6, [2**64 - 1] * 15, 64), codeg=True, tight=True)
+@example(block=(Hypergraph(70_000, 2, [(0, 1), (1, 69_999), (5, 6)]), [3, 1 << 40, 6], 64),
+         codeg=True, tight=False)  # a degree table of 7 trials at a time
+@example(block=(Hypergraph(3, 1, [(0,), (2,)]), [2**64 - 1, 1 << 63], 64), codeg=True, tight=False)
+@example(block=(Hypergraph(4, 2, []), [], 1), codeg=True, tight=False)
+@settings(max_examples=300, deadline=None)
+def test_surviving_extremes_match_a_per_trial_recount(block, codeg, tight):
+    # tight: one trial per degree table, a few keys per bincount and one
+    # column per adder tree, so that every chunk loop turns more than once
+    H, words, size = block
+    alive = np.array(words, dtype=np.uint64)
+    limits = mock.patch.multiple(percolation, _TALLY=4, _PLANE_WORDS=1) if tight else nullcontext()
+    with limits:
+        got = surviving_extremes(H, alive, size, codeg).tolist()
+    assert got == recount_extremes(H, words, size, codeg)
+
+
+def test_surviving_extremes_take_the_planes_above_one_bit_per_edge():
+    for bits, planes in ((1, False), (2, True)):
+        H = subgraph_hypergraph(complete(3), 8)
+        alive = np.full(H.m, (1 << bits) - 1, dtype=np.uint64)
+        got = surviving_extremes(H, alive, 64, codeg=True).tolist()
+        assert got == recount_extremes(H, alive.tolist(), 64, True)
+        assert ("incidence_buckets" in vars(H)) == planes
 
 
 # --- schedules -----------------------------------------------------------
