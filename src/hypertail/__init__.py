@@ -5,12 +5,10 @@ __version__ = "0.1.0"
 
 from .core import (
     BudgetError,
-    DegreeProfile,
     Hypergraph,
     HypergraphStats,
     InfeasibleError,
     codegree,
-    degree_profile,
     stats_of,
 )
 from .generators import (

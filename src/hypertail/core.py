@@ -134,7 +134,7 @@ class Hypergraph:
         """``incidence[v]``: the ids of the edges containing v, ascending."""
         flat = self.edges_arr.ravel()
         ids = (np.argsort(flat, kind="stable") // self.k).tolist()
-        ends = np.cumsum(np.bincount(flat, minlength=self.n)).tolist()
+        ends = np.cumsum(self.deg).tolist()
         return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
@@ -207,16 +207,22 @@ class Hypergraph:
         return int(np.diff(ends, prepend=-1, append=codes.size - 1).max())
 
     @cached_property
-    def profile(self) -> "DegreeProfile":
-        """Degrees, max/min degree and :attr:`max_codegree`; read it through
-        :func:`degree_profile`.
-        """
+    def deg(self) -> np.ndarray:
+        """``deg[v]``: the number of edges containing v (read-only)."""
         deg = np.bincount(self.edges_arr.ravel(), minlength=self.n)
         deg.setflags(write=False)
-        return DegreeProfile(
-            deg=deg,
-            max_degree=int(deg.max()),
-            min_degree=int(deg.min()),
+        return deg
+
+    @cached_property
+    def stats(self) -> "HypergraphStats":
+        """n, m, k, the max/min degree and :attr:`max_codegree`; read it
+        through :func:`stats_of`."""
+        return HypergraphStats(
+            n=self.n,
+            m=self.m,
+            k=self.k,
+            max_degree=int(self.deg.max()),
+            min_degree=int(self.deg.min()),
             max_codegree=self.max_codegree,
         )
 
@@ -236,18 +242,8 @@ class PairIndex:
 
 
 @dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex degrees plus extremal degree/co-degree statistics."""
-
-    deg: np.ndarray
-    max_degree: int
-    min_degree: int
-    max_codegree: int
-
-
-@dataclass(frozen=True)
 class HypergraphStats:
-    """The scalar statistics consumed by the analytic bound evaluators."""
+    """The six numbers of a hypergraph that the analytic conditions and bounds read."""
 
     n: int
     m: int
@@ -255,11 +251,6 @@ class HypergraphStats:
     max_degree: int
     min_degree: int
     max_codegree: int
-
-
-def degree_profile(H: Hypergraph) -> DegreeProfile:
-    """H's degrees, max/min degree and maximum co-degree, computed once per H."""
-    return H.profile
 
 
 def codegree(H: Hypergraph, u: int, v: int) -> int:
@@ -273,13 +264,5 @@ def codegree(H: Hypergraph, u: int, v: int) -> int:
 
 
 def stats_of(H: Hypergraph) -> HypergraphStats:
-    """Bundle (n, m, k) with the degree profile extremes."""
-    profile = degree_profile(H)
-    return HypergraphStats(
-        n=H.n,
-        m=H.m,
-        k=H.k,
-        max_degree=profile.max_degree,
-        min_degree=profile.min_degree,
-        max_codegree=profile.max_codegree,
-    )
+    """H's scalar statistics, computed once per H."""
+    return H.stats

@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import NicenessParams
 from .core import BudgetError, InfeasibleError
 from .generators import GraphSpec, pair_rank, pair_unrank, subgraph_hypergraph
-from .montecarlo import LANE_EXTENSION, TrialConfig, _per_trial, clopper_pearson
+from .montecarlo import LANE_EXTENSION, TrialConfig, _mean_stderr, _per_trial, clopper_pearson
 from .percolation import codeg_trigger, degree_cap
 from .rng import TrialStream
 
@@ -324,8 +324,7 @@ def z_identity_check(
             )
     z_values, hits, misses = zip(*rows)
     conditioned, mismatches = sum(hits), sum(misses)
-    zs = np.array(z_values, dtype=np.float64)
-    stderr = float(zs.std(ddof=1) / math.sqrt(zs.size)) if zs.size > 1 else 0.0
+    z1_mean, z1_stderr = _mean_stderr(np.array(z_values, dtype=np.float64))
     # every copy needs its t edges present; a bipartite non-root set extends
     # through each side split of it
     splits = 1 if spec.family == "complete" else comb(rg.s, spec.parts[0] - 1)
@@ -338,8 +337,8 @@ def z_identity_check(
         trials_conditioned=conditioned,
         mismatches=mismatches,
         all_equal=mismatches == 0,
-        z1_mean=float(zs.mean()),
-        z1_stderr=stderr,
+        z1_mean=z1_mean,
+        z1_stderr=z1_stderr,
         expected_z1=expected,
     )
 

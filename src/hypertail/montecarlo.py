@@ -17,7 +17,7 @@ import numpy as np
 
 from . import oracle
 from .bounds import NicenessParams, degree_moment_bound
-from .core import Hypergraph, degree_profile
+from .core import Hypergraph, stats_of
 from .percolation import (
     ExposureSchedule,
     RoundState,
@@ -188,6 +188,12 @@ def clopper_pearson(successes: int, trials: int, significance: float) -> tuple[f
         else float(special.betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     )
     return lo, hi
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The sample mean of ``values`` and its standard error (0 for one value)."""
+    stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), stderr
 
 
 def _in_order(fn, items, workers: int) -> list:
@@ -454,21 +460,14 @@ def check_degree_moment(
 
     def trial(stream: TrialStream) -> DegreeMomentEntry:
         v = vertices[stream.trial - 1]
-        live_edges = [e for e in H.incidence[v] if alive[e]]
-        others = sorted({u for e in live_edges for u in H.edges[e] if u != v})
-        pos = {u: j + 1 for j, u in enumerate(others)}  # v sits at column 0
-        kept_next = stream.uniform_matrix(continuations, 1 + len(others)) < eps
-        if live_edges:
-            cols = np.array(
-                [[pos[u_] for u_ in H.edges[e] if u_ != v] for e in live_edges], dtype=np.int64
-            )
-            partners_alive = kept_next[:, cols].all(axis=2)
-            deg_next = partners_alive.sum(axis=1) * kept_next[:, 0]
-        else:
-            deg_next = np.zeros(continuations, dtype=np.int64)
-        vals = deg_next.astype(np.float64) ** 2
-        estimate = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(continuations)) if continuations > 1 else 0.0
+        rows = H.edges_arr[[e for e in H.incidence[v] if alive[e]]]
+        partners = rows[rows != v].reshape(len(rows), H.k - 1)
+        # v sits at column 0, its partners at 1.. in ascending order
+        others, cols = np.unique(partners, return_inverse=True)
+        kept_next = stream.uniform_matrix(continuations, 1 + others.size) < eps
+        partners_alive = kept_next[:, 1 + cols.reshape(partners.shape)].all(axis=2)
+        deg_next = partners_alive.sum(axis=1) * kept_next[:, 0]
+        estimate, stderr = _mean_stderr(deg_next.astype(np.float64) ** 2)
         bound = degree_moment_bound(int(deg[v]), H.k, eta, eps)
         return DegreeMomentEntry(
             vertex=int(v),
@@ -503,7 +502,7 @@ def run_exposure_campaign(
         if value <= 0:  # as NicenessParams requires
             raise ValueError(f"{name} must be positive")
     rounds = schedule.rounds
-    degree_profile(H)  # derived before the threads start
+    stats_of(H)  # derived before the threads start
 
     def trial(stream: TrialStream) -> np.ndarray:
         # per round: edge count, its square, degree-square sum, the four condition flags
@@ -550,22 +549,20 @@ def check_degree_square_sum(
     _, buckets = run_exposure_campaign(H, schedule, lam, gamma_cap, cfg, LANE_DEG_SQ_SUM)
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
-    delta_max = degree_profile(H).max_degree
+    delta_max = stats_of(H).max_degree
     log_n = math.log(n)
     entries = []
     for i, bucket in enumerate(buckets):
         if not bucket:
             continue
-        ys = np.array(bucket, dtype=np.float64)
         bound = eps ** ((2 * k - 1) * (i + 1)) * delta_max**2 * n * (
             1 + (3 * i + 2) * log_n**-2
         ) + 5 * k * eps ** ((k + 0.5) * (i + 1)) * m / math.sqrt(p)
-        mean = float(ys.mean())
-        stderr = float(ys.std(ddof=1) / math.sqrt(ys.size)) if ys.size > 1 else 0.0
+        mean, stderr = _mean_stderr(np.array(bucket, dtype=np.float64))
         entries.append(
             DegreeSquareSumEntry(
                 round_index=i,
-                conditioned_trials=int(ys.size),
+                conditioned_trials=len(bucket),
                 mean=mean,
                 stderr=stderr,
                 bound=bound,

@@ -75,7 +75,7 @@ def intersection_profile(H: Hypergraph, pair_budget: int | None = None) -> tuple
     """
     budget = DEFAULT_PAIR_BUDGET if pair_budget is None else pair_budget
     k, m = H.k, H.m
-    shared = (np.bincount(H.edges_arr.ravel(), minlength=H.n) >= 2)[H.edges_arr]
+    shared = (H.deg >= 2)[H.edges_arr]
     sizes = np.count_nonzero(shared, axis=1)
     by_size = np.bincount(sizes, minlength=k + 1).tolist()
     rows_needed = sum(count << s for s, count in enumerate(by_size))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Hypergraph, InfeasibleError, degree_profile
+from .core import Hypergraph, InfeasibleError, stats_of
 from .rng import TrialStream
 
 STRICT_EPS_RANGE = (1e-6, 1e-3)
@@ -160,7 +160,7 @@ def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool)
     co-degree maximum of a trial is H's own when some edge survives and 0
     otherwise, so no pair is counted and no pair index is built.
     """
-    top = degree_profile(H).max_codegree
+    top = stats_of(H).max_codegree
     pairs = codeg and top > 1
     if int(np.bitwise_count(alive).sum()) > _DENSE * H.m:
         out = _plane_extremes(H, alive, size, pairs)
@@ -173,12 +173,12 @@ def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool)
 
 def prepare_extremes(H: Hypergraph, q: float, codeg: bool) -> None:
     """Derive what :func:`surviving_extremes` reads on the blocks of a
-    percolation at q, so that worker threads find it built: H's degree
-    profile, the pair index when it counts pairs, and the incidence buckets
+    percolation at q, so that worker threads find it built: H's statistics,
+    the pair index when it counts pairs, and the incidence buckets
     when a full block is expected to take the counter planes (each edge
     survives in q^k of its 64 trials).  A block that takes them all the same
     builds them on first use."""
-    top = degree_profile(H).max_codegree
+    top = stats_of(H).max_codegree
     pairs = codeg and top > 1
     if pairs:
         H.pair_index
@@ -345,7 +345,7 @@ def codeg_holds(max_codeg: int, min_pos_deg: int, n: int) -> bool:
 
 def degree_cap(q: float, H: Hypergraph, gamma_cap: float) -> float:
     """Condition (3)'s cap on surviving degrees at retention q: max{2 q^(k-1) Delta, Gamma}."""
-    return max(2.0 * q ** (H.k - 1) * degree_profile(H).max_degree, gamma_cap)
+    return max(2.0 * q ** (H.k - 1) * stats_of(H).max_degree, gamma_cap)
 
 
 def codegree_sums(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
@@ -415,7 +415,7 @@ def build_schedule(
 def codeg_trigger(p: float, q: float, H: Hypergraph) -> bool:
     """Whether the co-degree condition is switched on at retention level q:
     p^(1/2) * q^(k-3/2) * max_degree^2 * n * ln n >= m."""
-    lhs = math.sqrt(p) * q ** (H.k - 1.5) * degree_profile(H).max_degree ** 2 * H.n * math.log(H.n)
+    lhs = math.sqrt(p) * q ** (H.k - 1.5) * stats_of(H).max_degree ** 2 * H.n * math.log(H.n)
     return lhs >= H.m
 
 
@@ -423,15 +423,12 @@ def run_exposure(
     H: Hypergraph,
     schedule: ExposureSchedule,
     stream: TrialStream,
-    profile=None,
 ) -> list[RoundState]:
     """Run the full exposure chain, returning states for rounds 0..I.
 
     Round 0 is the deterministic full vertex set.  Round i filters round
     i-1's survivors using row i-1 of the stream's uniform matrix, so any
-    round's outcome for any vertex can be replayed in isolation.  ``profile``
-    is accepted for callers that still pass one, and ignored: H holds its
-    own degree profile.
+    round's outcome for any vertex can be replayed in isolation.
     """
     uniforms = stream.uniform_matrix(schedule.rounds, H.n)
     kept = np.ones(H.n, dtype=bool)
@@ -454,8 +451,8 @@ def check_preconditions(state: RoundState, lam: float, gamma_cap: float) -> Prec
     H, schedule, i = state.H, state.schedule, state.index
     eps, p, k = schedule.epsilon, schedule.p, H.k
     n, m = H.n, H.m
-    profile = degree_profile(H)
-    delta_max = profile.max_degree
+    stats = stats_of(H)
+    delta_max = stats.max_degree
     if p**k * m == 0:  # no edges, or p^k underflows
         raise InfeasibleError(f"the round conditions divide by p^k m, which is 0 at m={m}, p={p}")
     log_n = math.log(n)
@@ -479,7 +476,7 @@ def check_preconditions(state: RoundState, lam: float, gamma_cap: float) -> Prec
         deg = state.deg
         # on a linear H (every co-degree at most 1) the surviving maximum is
         # H's own once an edge survives: 1, or 0 for k = 1, which has no pairs
-        top = profile.max_codegree
+        top = stats.max_codegree
         max_codeg = top if top <= 1 else int(surviving_pair_counts(H, state.alive).max())
         holds_codeg = codeg_holds(max_codeg, int(deg[deg > 0].min()), n)
 
@@ -508,11 +505,6 @@ def lipschitz_bound(H: Hypergraph, state: RoundState, v: int) -> int:
         raise ValueError(f"vertex {v} is not in [0, {H.n})")
     if not state.kept[v]:
         raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
-    codeg: dict[int, int] = {}
-    for e in H.incidence[v]:
-        if state.alive[e]:
-            for u in H.edges[e]:
-                if u != v:
-                    codeg[u] = codeg.get(u, 0) + 1
-    deg_v = int(state.deg[v])
-    return deg_v**2 + 4 * sum(c * int(state.deg[u]) for u, c in codeg.items())
+    rows = H.edges_arr[[e for e in H.incidence[v] if state.alive[e]]]
+    partners, codeg = np.unique(rows[rows != v], return_counts=True)
+    return int(state.deg[v]) ** 2 + 4 * int((codeg * state.deg[partners]).sum())

@@ -25,7 +25,6 @@ from hypertail import (
     chi_square_two_sample,
     complete,
     complete_bipartite,
-    degree_profile,
     disjoint_edges,
     edge_count_samples,
     estimate_tail,
@@ -126,7 +125,6 @@ def test_criterion_02_exact_moment_agreement():
 @pytest.fixture(scope="module")
 def exposure_campaign():
     H = subgraph_hypergraph(complete(3), 12)
-    profile = degree_profile(H)
     schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
     assert schedule.epsilon == pytest.approx(0.5, rel=1e-12)
 
@@ -135,7 +133,7 @@ def exposure_campaign():
     identity_violations = 0
     monotonicity_violations = 0
     for t in range(EXPOSURE_TRIALS):
-        states = run_exposure(H, schedule, TrialStream(EXPOSURE_SEED, t, LANE_EXPOSURE), profile)
+        states = run_exposure(H, schedule, TrialStream(EXPOSURE_SEED, t, LANE_EXPOSURE))
         prev_kept = None
         for state in states:
             alive = state.kept[H.edges_arr].all(axis=1)
@@ -156,7 +154,6 @@ def exposure_campaign():
     elapsed = time.perf_counter() - started
     return {
         "H": H,
-        "profile": profile,
         "schedule": schedule,
         "x_final": x_final,
         "x_direct": x_direct,
@@ -202,13 +199,13 @@ def recount(H, kept):
 
 def test_criterion_05_lipschitz_toggle_audit(exposure_campaign):
     c = exposure_campaign
-    H, schedule, profile = c["H"], c["schedule"], c["profile"]
+    H, schedule = c["H"], c["schedule"]
     rng = np.random.default_rng(55)
     audits = x_violations = y_violations = 0
     while audits < 1000:
         trial = int(rng.integers(0, EXPOSURE_TRIALS))
         i = int(rng.integers(0, schedule.rounds))
-        states = run_exposure(H, schedule, TrialStream(EXPOSURE_SEED, trial, LANE_EXPOSURE), profile)
+        states = run_exposure(H, schedule, TrialStream(EXPOSURE_SEED, trial, LANE_EXPOSURE))
         survivors = np.flatnonzero(states[i].kept)
         if survivors.size == 0:
             continue
@@ -247,12 +244,11 @@ def test_criterion_06_conditional_moment_check():
     checked = 0
     failures = 0
     for H, quota in targets:
-        profile = degree_profile(H)
         schedule = build_schedule(0.125, H.n, eps_range=(0.1, 0.5), force_rounds=3)
         taken = 0
         trial = 0
         while taken < quota:
-            states = run_exposure(H, schedule, TrialStream(606, trial, LANE_EXPOSURE), profile)
+            states = run_exposure(H, schedule, TrialStream(606, trial, LANE_EXPOSURE))
             for i in range(schedule.rounds):
                 if taken >= quota:
                     break

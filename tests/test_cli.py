@@ -640,6 +640,47 @@ def test_missing_bipartite_side_names_its_flag(argv):
     assert run(argv + ["--b-side", "3"])[0] == 0  # following the message works
 
 
+EXT_K3 = ["--family", "complete", "--r", "3", "--N", "6", "--q", "0.5", "--trials", "5",
+          "--seed", "1"]
+TAIL_K3 = ["simulate", "--task", "tail", *K3_N5, "--p", "0.3", "--trials", "5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--family", "complete", "--N", "5"], "--family complete requires --r"),
+    (["gen", "--family", "complete", "--r", "3"], "pattern families require --N"),
+    (["gen", "--family", "disjoint", "--m", "2"], "--family disjoint requires --m and --k"),
+    (["gen", "--family", "random", "--m", "2", "--k", "2", "--seed", "1"],
+     "--family random requires --n, --m and --k"),
+    (["regime", "--family", "disjoint", "--N", "10", "--c1", "0.05"],
+     "unsupported pattern family 'disjoint'"),
+    (["regime", "--family", "complete", "--N", "10", "--c1", "0.05"],
+     "--family complete requires --r"),
+    (["simulate", "--task", "nope", *K3_N5, "--p", "0.3", "--seed", "1"],
+     "unknown simulate task 'nope'"),
+    ([*DEG_MOMENT, "--round", "9"], "--round must lie in [0, 3]"),
+    (["ext", "--task", "expected", "--family", "complete", "--r", "3", "--q", "0.5"],
+     "--task expected requires --N and --q"),
+    (["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6", "--trials", "5",
+      "--seed", "1"], "--task zcheck requires --N and --q"),
+    (["ext", "--task", "caps", *EXT_K3], "--task caps requires --p"),
+    (["ext", "--task", "nope", *EXT_K3], "unknown ext task 'nope'"),
+    (["ext", "--task", "balanced", "--family", "disjoint"], "unsupported pattern family 'disjoint'"),
+    ([*TAIL_K3, "--thresholds", ",", "--seed", "1"], "expected a comma-separated list of numbers"),
+    ([*TAIL_K3, "--thresholds", "1", "--seed", "x"], "--seed must be an integer or 'auto', got 'x'"),
+    ([*TAIL_K3, "--thresholds", "1", "--seed", "1", "--config", "bad.cfg"],
+     "config line 'trials' is not key=value"),
+], ids=["gen-complete-no-r", "gen-complete-no-N", "gen-disjoint-no-k", "gen-random-no-n",
+        "regime-disjoint", "regime-complete-no-r", "simulate-unknown-task",
+        "deg-moment-round-past-schedule", "ext-expected-no-N", "ext-zcheck-no-q",
+        "ext-caps-no-p", "ext-unknown-task", "ext-balanced-disjoint", "thresholds-empty",
+        "seed-not-integer", "config-line-without-equals"])
+def test_usage_errors_are_one_line_naming_the_fault(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(subgraph_hypergraph(complete(3), 5), tmp_path / "k3.hgr")
+    (tmp_path / "bad.cfg").write_text("trials\n")
+    assert run(argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--budget", "0"],
     ["gen", "--family", "complete", "--r", "3", "--N", "5", "--budget", "-1"],

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from hypertail import complete, disjoint_edges, subgraph_hypergraph
+from hypertail import Hypergraph, complete, disjoint_edges, subgraph_hypergraph
 from hypertail.cli import dispatch
 from hypertail.hgr import write_hgr
 
@@ -34,6 +34,8 @@ CASES = {
     "gen-random-stdout": ["gen", "--family", "random", "--n", "9", "--m", "6", "--k", "3",
                           "--seed", "4"],
     "stats": ["stats", "--in", "k3.hgr"],
+    "stats-isolated": ["stats", "--in", "isolated.hgr"],
+    "stats-k1": ["stats", "--in", "k1.hgr"],
     "nice": ["nice", "--in", "k3.hgr", *NICE],
     "nice-p4-grid": ["nice", "--in", "k3.hgr", *NICE, "--p4-grid", "0.2,0.3",
                      "--trials", "60", "--seed", "5"],
@@ -113,6 +115,8 @@ DIGESTS = {
     "simulate-subgaussian-plugin": "576fa8534acf1b7fe069008023e93ef016a174d741d020c81693f5f0aa2b7c76",
     "simulate-tail": "13c32195e4d77faa6966d58b89b04491e5a2c694957bc6181112bc63139ca283",
     "stats": "f9d106ac22dc0eff2efb38a59aa8411e86e998f10bd3d2a801456020e81cc4b9",
+    "stats-isolated": "ad1ea9442dbcb5554308cdb8899c7b66e7fba5a013015293fe2b501838e30817",
+    "stats-k1": "779adeec30a67ca107a8a096a97e271d6c3566e1f361db5304371e617eb23b69",
 }
 
 
@@ -121,6 +125,8 @@ def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("records")
     write_hgr(subgraph_hypergraph(complete(3), 6), path / "k3.hgr")
     write_hgr(disjoint_edges(6, 3), path / "disj.hgr")
+    write_hgr(Hypergraph(6, 2, [(0, 1), (1, 2), (1, 3)]), path / "isolated.hgr")  # 4 and 5 isolated
+    write_hgr(Hypergraph(3, 1, [(0,), (1,), (2,)]), path / "k1.hgr")
     return path
 
 

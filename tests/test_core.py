@@ -12,7 +12,6 @@ from hypertail import (
     TrialConfig,
     codegree,
     complete,
-    degree_profile,
     stats_of,
     subgraph_hypergraph,
     verify_p4,
@@ -59,23 +58,24 @@ def test_incidence_is_consistent():
             assert e in H.incidence[v]
 
 
-def test_degree_profile_hand_example():
+def test_stats_hand_example():
     H = Hypergraph(n=5, k=3, edges=[(0, 1, 2), (0, 1, 3), (2, 3, 4)])
-    profile = degree_profile(H)
-    assert profile.deg.tolist() == [2, 2, 2, 2, 1]
-    assert profile.max_degree == 2
-    assert profile.min_degree == 1
-    assert profile.max_codegree == 2  # pair {0, 1} sits in two edges
+    stats = stats_of(H)
+    assert H.deg.tolist() == [2, 2, 2, 2, 1]
+    assert (stats.n, stats.m, stats.k) == (5, 3, 3)
+    assert stats.max_degree == 2
+    assert stats.min_degree == 1
+    assert stats.max_codegree == 2  # pair {0, 1} sits in two edges
 
 
-def test_degree_profile_disjoint_edges():
-    profile = degree_profile(disjoint_edges(7, 3))
-    assert profile.max_degree == 1
-    assert profile.min_degree == 1
-    assert profile.max_codegree == 1  # partners inside one edge co-occur once
+def test_stats_disjoint_edges():
+    stats = stats_of(disjoint_edges(7, 3))
+    assert stats.max_degree == 1
+    assert stats.min_degree == 1
+    assert stats.max_codegree == 1  # partners inside one edge co-occur once
 
 
-def test_degree_profile_fully_disjoint_pairs_have_zero_codegree():
+def test_fully_disjoint_pairs_have_zero_codegree():
     H = disjoint_edges(4, 3)
     assert codegree(H, 0, 3) == 0
     assert codegree(H, 0, 1) == 1
@@ -84,10 +84,10 @@ def test_degree_profile_fully_disjoint_pairs_have_zero_codegree():
 def test_triangle_hypergraph_profile():
     # n = C(4,2), m = C(4,3), every K_N-edge lies in N-2 triangles
     H = subgraph_hypergraph(complete(3), 4)
-    profile = degree_profile(H)
+    stats = stats_of(H)
     assert (H.n, H.m, H.k) == (6, 4, 3)
-    assert profile.max_degree == profile.min_degree == 2
-    assert profile.max_codegree == 1
+    assert stats.max_degree == stats.min_degree == 2
+    assert stats.max_codegree == 1
 
 
 @pytest.mark.parametrize("N", [4, 5, 7, 9])
@@ -95,11 +95,11 @@ def test_triangle_hypergraph_scaling(N):
     from math import comb
 
     H = subgraph_hypergraph(complete(3), N)
-    profile = degree_profile(H)
+    stats = stats_of(H)
     assert H.n == comb(N, 2)
     assert H.m == comb(N, 3)
-    assert profile.max_degree == profile.min_degree == N - 2
-    assert profile.max_codegree == 1
+    assert stats.max_degree == stats.min_degree == N - 2
+    assert stats.max_codegree == 1
 
 
 @st.composite
@@ -114,54 +114,49 @@ def hypergraphs(draw):
 @given(hypergraphs())
 @settings(max_examples=200, deadline=None)
 def test_degree_sum_identity(H):
-    profile = degree_profile(H)
-    assert int(profile.deg.sum()) == H.k * H.m
+    assert int(H.deg.sum()) == H.k * H.m
 
 
 @given(hypergraphs())
 @settings(max_examples=100, deadline=None)
 def test_profile_bounds(H):
-    profile = degree_profile(H)
-    assert profile.min_degree <= profile.max_degree
-    assert 0 <= profile.max_codegree <= profile.max_degree
+    stats = stats_of(H)
+    assert (stats.max_degree, stats.min_degree) == (H.deg.max(), H.deg.min())
+    assert stats.min_degree <= stats.max_degree
+    assert 0 <= stats.max_codegree <= stats.max_degree
 
 
 @given(hypergraphs())
 @settings(max_examples=60, deadline=None)
 def test_codegree_query_matches_brute_force(H):
-    profile = degree_profile(H)
     best = 0
     for u in range(H.n):
         for v in range(u + 1, H.n):
             direct = sum(1 for edge in H.edges if u in edge and v in edge)
             assert codegree(H, u, v) == direct
-            assert direct <= min(profile.deg[u], profile.deg[v])
+            assert direct <= min(H.deg[u], H.deg[v])
             best = max(best, direct)
-    assert profile.max_codegree == best
+    assert stats_of(H).max_codegree == best
 
 
-def test_degree_profile_is_computed_once():
+def test_stats_are_computed_once():
     H = subgraph_hypergraph(complete(3), 6)
     stats = stats_of(H)
-    profile = degree_profile(H)
-    assert degree_profile(H) is profile
-    assert vars(H)["profile"] is profile  # the one stats_of built
+    assert stats_of(H) is stats
+    assert vars(H)["stats"] is stats and vars(H)["deg"] is H.deg
+    assert not H.deg.flags.writeable
     assert (stats.max_degree, stats.min_degree, stats.max_codegree) == (
-        profile.max_degree,
-        profile.min_degree,
-        profile.max_codegree,
+        int(H.deg.max()),
+        int(H.deg.min()),
+        H.max_codegree,
     )
 
 
-def test_degree_profile_is_pure():
+def test_stats_are_pure():
     H = subgraph_hypergraph(complete(3), 5)
-    a, b = degree_profile(H), degree_profile(H)
-    assert np.array_equal(a.deg, b.deg)
-    assert (a.max_degree, a.min_degree, a.max_codegree) == (
-        b.max_degree,
-        b.min_degree,
-        b.max_codegree,
-    )
+    twin = Hypergraph(n=H.n, k=H.k, edges=H.edges)
+    assert np.array_equal(H.deg, twin.deg)
+    assert stats_of(H) == stats_of(twin)
 
 
 def reference_pair_index(H):
@@ -209,7 +204,7 @@ def test_pair_index_and_max_codegree_match_the_reference(H):
     assert pairs.edge_pair_ids.tolist() == ids.tolist()
     assert H.max_codegree == reference_max_codegree(H)
     if H.n < 2**40:  # an n-sized degree array
-        assert degree_profile(H).max_codegree == reference_max_codegree(H)
+        assert stats_of(H).max_codegree == reference_max_codegree(H)
 
 
 def bucket_columns(buckets, pad):

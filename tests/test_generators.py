@@ -14,12 +14,12 @@ from hypertail import (
     InfeasibleError,
     complete,
     complete_bipartite,
-    degree_profile,
     disjoint_edges,
     generators,
     pair_rank,
     pair_unrank,
     random_uniform,
+    stats_of,
     subgraph_hypergraph,
 )
 from hypertail.hgr import dumps
@@ -67,9 +67,9 @@ def test_triangle_n4_counts():
 
 def test_triangle_n10_counts():
     H = subgraph_hypergraph(complete(3), 10)
-    profile = degree_profile(H)
+    stats = stats_of(H)
     assert (H.n, H.m) == (45, 120)
-    assert profile.max_degree == 8
+    assert stats.max_degree == 8
 
 
 def test_bipartite_k22_n4():
@@ -195,9 +195,9 @@ def test_near_complete_universe_builds_no_wide_intermediate():
 @pytest.mark.parametrize("r,N", [(3, 6), (4, 7), (5, 8)])
 def test_complete_copies_have_uniform_degrees(r, N):
     H = subgraph_hypergraph(complete(r), N)
-    profile = degree_profile(H)
+    stats = stats_of(H)
     assert H.m == comb(N, r)
-    assert profile.max_degree == profile.min_degree == comb(N - 2, r - 2)
+    assert stats.max_degree == stats.min_degree == comb(N - 2, r - 2)
 
 
 @pytest.mark.parametrize(
@@ -205,15 +205,15 @@ def test_complete_copies_have_uniform_degrees(r, N):
     [(complete(3), 7), (complete(4), 7), (complete_bipartite(2, 2), 6), (complete_bipartite(2, 3), 7)],
 )
 def test_degree_regularity_across_patterns(spec, N):
-    profile = degree_profile(subgraph_hypergraph(spec, N))
-    assert profile.max_degree == profile.min_degree
+    stats = stats_of(subgraph_hypergraph(spec, N))
+    assert stats.max_degree == stats.min_degree
 
 
 @pytest.mark.parametrize("N", [6, 7, 9])
 def test_k4_max_codegree_counts_copies_through_two_host_edges(N):
     # two host edges sharing a vertex lie in N-3 common K4 copies
-    profile = degree_profile(subgraph_hypergraph(complete(4), N))
-    assert profile.max_codegree == N - 3
+    stats = stats_of(subgraph_hypergraph(complete(4), N))
+    assert stats.max_codegree == N - 3
 
 
 def test_generator_output_revalidates():
@@ -244,11 +244,11 @@ def test_subgraph_requires_enough_vertices():
 def test_disjoint_edges_shapes():
     H = disjoint_edges(3, 3)
     assert H.n == 9
-    assert degree_profile(H).max_codegree == 1
+    assert stats_of(H).max_codegree == 1
     assert disjoint_edges(1, 2).edges == ((0, 1),)
     big = disjoint_edges(200, 3)
     assert big.n == 600
-    assert int(degree_profile(big).deg.sum()) == 600
+    assert int(big.deg.sum()) == 600
 
 
 def test_random_uniform_exhaustion_forces_full_set():

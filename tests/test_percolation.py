@@ -16,11 +16,11 @@ from hypertail import (
     build_schedule,
     check_preconditions,
     complete,
-    degree_profile,
     disjoint_edges,
     lipschitz_bound,
     random_uniform,
     run_exposure,
+    stats_of,
     subgraph_hypergraph,
 )
 from hypertail import percolation
@@ -348,9 +348,9 @@ def test_preconditions_round0_codeg_matches_global_condition():
     for H in (subgraph_hypergraph(complete(3), 12), disjoint_edges(50, 3)):
         schedule, states = make_schedule_and_states(H)
         report = check_preconditions(states[0], lam=3.0, gamma_cap=5.0)
-        profile = degree_profile(H)
+        stats = stats_of(H)
         expected = (not states[0].codeg_trigger) or (
-            profile.max_codegree <= profile.min_degree * math.log(H.n) ** -3
+            stats.max_codegree <= stats.min_degree * math.log(H.n) ** -3
         )
         assert report.holds[3] == expected
 
