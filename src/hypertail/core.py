@@ -32,6 +32,12 @@ def _strictly_lex_ascending(rows: np.ndarray) -> bool:
     return False  # two rows agree in every column
 
 
+def _stable_order(keys: np.ndarray, count: int) -> np.ndarray:
+    """The stable argsort of the flat ``keys``, whose values are in [0, count)."""
+    # a stable sort of 16-bit keys is a radix sort
+    return np.argsort(keys.astype(np.uint16) if count <= 1 << 16 else keys, kind="stable")
+
+
 def _buckets(keys: np.ndarray, count: int, width: int, pad: int) -> tuple[np.ndarray, ...]:
     """The positions i of the flat ``keys`` (values in [0, count)) grouped by
     value, as ids ``i // width``.
@@ -42,9 +48,7 @@ def _buckets(keys: np.ndarray, count: int, width: int, pad: int) -> tuple[np.nda
     none.  Rounding wastes at most half of each table.
     """
     sizes = np.bincount(keys, minlength=count)
-    # a stable sort of 16-bit keys is a radix sort
-    order = np.argsort(keys.astype(np.uint16) if count <= 1 << 16 else keys, kind="stable")
-    ids = order // width
+    ids = _stable_order(keys, count) // width
     starts = np.cumsum(sizes) - sizes
     widths = np.left_shift(1, np.frexp(np.maximum(sizes, 1) - 1)[1])  # smallest 2^e >= size
     tables = []
@@ -94,12 +98,7 @@ class Hypergraph:
             if repeated[bad[0]]:
                 raise ValueError(f"edge {edge} does not have {k} distinct vertices")
             raise ValueError(f"edge {edge} has a vertex id outside [0, {n})")
-        if canonical and _strictly_lex_ascending(rows):
-            # kept in a fresh array allocated after the checks, as the sorting
-            # path does: keeping the first copy fragmented the heap of a process
-            # running many commands (K3 N=100 benchmark: peak RSS 97 -> 111 MB)
-            rows = rows.copy()
-        else:
+        if not (canonical and _strictly_lex_ascending(rows)):
             rows = rows[np.lexsort(rows.T[::-1])]
             dup = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
             if dup.size:
@@ -130,12 +129,25 @@ class Hypergraph:
         return tuple(map(tuple, self.edges_arr.tolist()))
 
     @cached_property
+    def _incident(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, starts): the ids of the edges containing v, ascending, are
+        ``ids[starts[v] : starts[v + 1]]`` (read-only)."""
+        ids = _stable_order(self.edges_arr.ravel(), self.n) // self.k
+        ids.setflags(write=False)
+        starts = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.deg, out=starts[1:])
+        return ids, starts
+
+    def edges_at(self, v: int) -> np.ndarray:
+        """The ids of the edges containing vertex v, ascending (a read-only view)."""
+        ids, starts = self._incident
+        return ids[starts[v] : starts[v + 1]]
+
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """``incidence[v]``: the ids of the edges containing v, ascending."""
-        flat = self.edges_arr.ravel()
-        ids = (np.argsort(flat, kind="stable") // self.k).tolist()
-        ends = np.cumsum(self.deg).tolist()
-        return tuple(tuple(ids[a:b]) for a, b in zip([0] + ends, ends))
+        ids, starts = (a.tolist() for a in self._incident)
+        return tuple(tuple(ids[a:b]) for a, b in zip(starts, starts[1:]))
 
     @cached_property
     def incidence_buckets(self) -> tuple[np.ndarray, ...]:

@@ -6,10 +6,14 @@ Every edge is sorted ascending, the edge list is sorted lexicographically,
 lines end with LF, and there is no trailing whitespace.  Readers reject any
 deviation.
 
-The reader works on the file's bytes, in whole-line chunks of about
-``_CHUNK`` bytes: it checks and decodes each chunk into its rows of one
-preallocated (m, k) array, so every temporary of a chunk stays in a core's L2
-cache, and builds the ``Hypergraph`` once from the full array.
+Both directions work on bytes, a chunk at a time, so that every temporary of
+a chunk stays in a core's L2 cache.  The reader takes the file in whole-line
+chunks of about ``_CHUNK`` bytes: it checks and decodes each chunk into its
+rows of one preallocated (m, k) array, and builds the ``Hypergraph`` once
+from the full array.  The writer takes the edge array in blocks of rows whose
+lines fill at most ``_CHUNK`` bytes, formats each block into one uint8 buffer
+and writes it out, so no vertex id becomes a Python int; ``dumps`` joins the
+same blocks.
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ import numpy as np
 
 from .core import Hypergraph
 
-# Bytes per parse chunk.  Reading the 2.3 MB K3 N=100 file, chunks of
-# 64-512 KiB were fastest and 128 KiB by a hair; 16-32 KiB chunks pay more
-# per chunk, and 1 MiB or more spill their temporaries out of a core's 2 MB
-# L2 (2-vCPU Xeon, numpy 2.4.6).
+# Bytes per parse chunk and per written block.  Reading the 2.3 MB K3 N=100
+# file, chunks of 64-512 KiB were fastest and 128 KiB by a hair; 16-32 KiB
+# chunks pay more per chunk, and 1 MiB or more spill their temporaries out of
+# a core's 2 MB L2 (2-vCPU Xeon, numpy 2.4.6).  Writing it, blocks of
+# 64-512 KiB were as fast as each other, 16 KiB and 1 MiB 15-30% slower.
 _CHUNK = 1 << 17
 
 
@@ -29,14 +34,49 @@ class HgrFormatError(ValueError):
     """The file is not in canonical form."""
 
 
+# An id and the separator after it take as many bytes as there are entries
+# here that the id reaches: 0 twice, then 10, 100, ..., 10^18.
+_STEPS = np.array([0, 0] + [10**w for w in range(1, 19)], dtype=np.int64)
+
+
+def _edge_lines(rows: np.ndarray, top: int) -> np.ndarray:
+    """The HGR lines of ``rows``, a nonempty (r, k) block of edges whose ids
+    have at most ``top`` digits, as uint8."""
+    ids = rows.ravel()
+    ends = _STEPS.searchsorted(ids, "right").cumsum()  # one past each id's separator
+    buf = np.empty(top + 1 + int(ends[-1]), dtype=np.uint8)  # top + 1 spare bytes, then the lines
+    rest = ids.astype(np.uint32) if top <= 9 else ids  # uint32 divides faster
+    # Digit j (of 10^j) of every id goes to line byte ends - 2 - j, most
+    # significant first.  An id of j digits or fewer writes a "0" before its
+    # first digit instead: into a spare byte, a separator (written last), or a
+    # digit of an earlier id, whose own write comes at a lower j, so later.
+    for j in range(top - 1, -1, -1):
+        digit, rest = np.divmod(rest, 10**j)
+        digit += ord("0")
+        buf[top - 1 - j :][ends] = digit
+    k = rows.shape[1]
+    buf[top:][ends.reshape(-1, k)] = np.frombuffer(b" " * (k - 1) + b"\n", dtype=np.uint8)
+    return buf[top + 1 :]
+
+
+def _pieces(H: Hypergraph):
+    """The bytes of H's HGR file: the header, then the lines of each block of
+    rows, at most _CHUNK bytes unless it is one longer line."""
+    yield f"{H.k} {H.n} {H.m}\n".encode()
+    top = len(str(H.n - 1))  # digits of the largest possible id
+    step = max(1, _CHUNK // (H.k * (top + 1)))  # lines of the longest kind per block
+    for lo in range(0, H.m, step):
+        yield _edge_lines(H.edges_arr[lo : lo + step], top)
+
+
 def dumps(H: Hypergraph) -> str:
-    line = " ".join(["%d"] * H.k) + "\n"
-    return f"{H.k} {H.n} {H.m}\n" + (line * H.m) % tuple(H.edges_arr.ravel().tolist())
+    return b"".join(_pieces(H)).decode()
 
 
 def write_hgr(H: Hypergraph, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dumps(H))
+    with open(path, "wb") as fh:
+        for piece in _pieces(H):
+            fh.write(piece)
 
 
 def _decode(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:

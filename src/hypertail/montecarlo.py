@@ -460,7 +460,8 @@ def check_degree_moment(
 
     def trial(stream: TrialStream) -> DegreeMomentEntry:
         v = vertices[stream.trial - 1]
-        rows = H.edges_arr[[e for e in H.incidence[v] if alive[e]]]
+        at = H.edges_at(v)
+        rows = H.edges_arr[at[alive[at]]]
         partners = rows[rows != v].reshape(len(rows), H.k - 1)
         # v sits at column 0, its partners at 1.. in ascending order
         others, cols = np.unique(partners, return_inverse=True)

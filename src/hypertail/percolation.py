@@ -505,6 +505,7 @@ def lipschitz_bound(H: Hypergraph, state: RoundState, v: int) -> int:
         raise ValueError(f"vertex {v} is not in [0, {H.n})")
     if not state.kept[v]:
         raise ValueError(f"vertex {v} is not a survivor of round {state.index}")
-    rows = H.edges_arr[[e for e in H.incidence[v] if state.alive[e]]]
+    at = H.edges_at(v)
+    rows = H.edges_arr[at[state.alive[at]]]
     partners, codeg = np.unique(rows[rows != v], return_counts=True)
     return int(state.deg[v]) ** 2 + 4 * int((codeg * state.deg[partners]).sum())

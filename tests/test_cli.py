@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import combinations
 from pathlib import Path
@@ -111,10 +112,12 @@ def test_hgr_rejects_noncanonical_numbers(tmp_path, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# 1 to 19 digits, neighbours of every width on one line, up to 2^63 - 3
+_WIDE_IDS = sorted({10**w for w in range(19)} | {10**w - 1 for w in range(1, 19)} | {2**63 - 3})
+
+
 def test_hgr_round_trips_ids_of_every_width():
-    # 1 to 19 digits, neighbours of every width on one line, up to 2^63 - 3
-    ids = sorted({10**w for w in range(19)} | {10**w - 1 for w in range(1, 19)} | {2**63 - 3})
-    H = Hypergraph(n=2**63 - 2, k=2, edges=list(zip(ids, ids[1:])))
+    H = Hypergraph(n=2**63 - 2, k=2, edges=list(zip(_WIDE_IDS, _WIDE_IDS[1:])))
     text = dumps(H)
     assert loads(text) == H and dumps(loads(text)) == text
     assert loads("1 9223372036854775806 1\n9223372036854775805\n").edges == ((2**63 - 3,),)
@@ -134,6 +137,57 @@ def test_hgr_round_trips_random_hypergraphs(seed):
 
     H = random_uniform(9, 8, 3, seed=seed)
     assert loads(dumps(H)) == H
+
+
+def _percent_hgr(H):
+    """H's HGR text by one `%` format over every id as a Python int: the
+    reference for the chunked writer."""
+    line = " ".join(["%d"] * H.k) + "\n"
+    return f"{H.k} {H.n} {H.m}\n" + (line * H.m) % tuple(H.edges_arr.ravel().tolist())
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        Hypergraph(n=5, k=1, edges=[(0,), (3,), (4,)]),
+        Hypergraph(n=4, k=3, edges=[]),
+        Hypergraph(n=1, k=1, edges=[]),
+        Hypergraph(n=2**63 - 2, k=2, edges=list(zip(_WIDE_IDS, _WIDE_IDS[1:]))),
+        Hypergraph(n=2**63 - 2, k=3, edges=[(0, 9, 2**63 - 3), (1, 10**18 - 1, 10**18)]),
+        Hypergraph(n=2**63 - 2, k=2, edges=[(0, 1), (2, 3)]),
+        Hypergraph(n=10**10, k=2, edges=[(0, 2**32 - 1), (1, 2**32), (2, 10**10 - 1)]),
+        subgraph_hypergraph(complete(3), 12),
+        disjoint_edges(40, 4),
+    ],
+    ids=[
+        "k1", "m0", "n1-m0", "every-width", "19-digit-n", "19-digit-n-small-ids", "10-digit-n",
+        "k3-n12", "disjoint",
+    ],
+)
+@pytest.mark.parametrize("chunk", [8, 48, 200, hgr._CHUNK], ids=lambda c: f"chunk{c}")
+def test_writer_matches_percent_reference(tmp_path, monkeypatch, H, chunk):
+    # blocks of 8-200 bytes, one line to a few dozen, so most files span
+    # many blocks; at the default chunk each file is one block
+    monkeypatch.setattr(hgr, "_CHUNK", chunk)
+    expected = _percent_hgr(H)
+    assert dumps(H) == expected
+    write_hgr(H, tmp_path / "h.hgr")
+    assert (tmp_path / "h.hgr").read_bytes() == expected.encode()
+
+
+def test_writer_transient_memory_is_flat(tmp_path):
+    # K3 on K_80, 82 160 edges: formatting every id as a Python int first
+    # peaks at 11.4 MiB; blocks of 128 KiB of lines peak near 1 MiB, for any m
+    H = subgraph_hypergraph(complete(3), 80)
+    path = tmp_path / "k3.hgr"
+    write_hgr(H, path)  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        write_hgr(H, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.m == 82_160 and peak < 4 * 2**20
 
 
 _K3N8 = dumps(subgraph_hypergraph(complete(3), 8)).split("\n")[:-1]  # 57 lines, 452 bytes
@@ -228,6 +282,15 @@ def test_gen_to_stdout_is_hgr_text():
     code, out, _ = run(["gen", "--family", "disjoint", "--m", "3", "--k", "3"])
     assert code == 0
     assert out.splitlines()[0] == "3 9 3"
+
+
+def test_gen_prints_the_bytes_it_writes(tmp_path):
+    argv = [sys.executable, "-m", "hypertail", "gen", "--family", "complete", "--r", "3", "--N", "12"]
+    env = {**os.environ, "PYTHONPATH": str(Path(hypertail.__file__).parents[1])}
+    path = tmp_path / "k3.hgr"
+    printed = subprocess.run(argv, capture_output=True, timeout=120, env=env, check=True).stdout
+    subprocess.run(argv + ["--out", str(path)], capture_output=True, timeout=120, env=env, check=True)
+    assert printed.startswith(b"3 66 220\n") and printed == path.read_bytes()
 
 
 def test_oracle_record_matches_pinned_values(tmp_path):

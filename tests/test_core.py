@@ -58,6 +58,15 @@ def test_incidence_is_consistent():
             assert e in H.incidence[v]
 
 
+def test_edges_at_is_incidence_as_read_only_arrays():
+    # vertex 5 is isolated; K3 N=6 has 10-edge runs at every vertex
+    isolated = Hypergraph(n=6, k=3, edges=[(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+    for H in (isolated, subgraph_hypergraph(complete(3), 6)):
+        for v in range(H.n):
+            at = H.edges_at(v)
+            assert at.tolist() == list(H.incidence[v]) and not at.flags.writeable
+
+
 def test_stats_hand_example():
     H = Hypergraph(n=5, k=3, edges=[(0, 1, 2), (0, 1, 3), (2, 3, 4)])
     stats = stats_of(H)
