@@ -37,7 +37,7 @@ class NicenessParams:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
         for name in ("lam", "gamma_cap", "b", "b_k"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+_BUILD = threading.RLock()  # re-entrant: one item's build reads others
 
 
 class BudgetError(RuntimeError):
@@ -38,25 +41,32 @@ def _stable_order(keys: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(keys.astype(np.uint16) if count <= 1 << 16 else keys, kind="stable")
 
 
-def _buckets(keys: np.ndarray, count: int, width: int, pad: int) -> tuple[np.ndarray, ...]:
-    """The positions i of the flat ``keys`` (values in [0, count)) grouped by
-    value, as ids ``i // width``.
+class _built_once(cached_property):
+    """A ``cached_property`` built under one module lock, so that only the first
+    thread to read an item builds it (Python 3.12 dropped the lock it had)."""
 
-    The values that occur D' times, rounded up to a power of two D, share one
-    (D, values) intp table: column c holds one value's ids, ascending, padded
-    with ``pad``.  Tables go by ascending D; values that never occur are in
-    none.  Rounding wastes at most half of each table.
+    def __get__(self, instance, owner=None):
+        with _BUILD:
+            return super().__get__(instance, owner)
+
+
+def _tables(ids: np.ndarray, sizes: np.ndarray, pad: int) -> tuple[np.ndarray, ...]:
+    """The groups of ``ids`` in power-of-two tables: group g is the
+    ``sizes[g]`` ids that follow the groups before it.
+
+    The groups of D' ids, D' rounded up to a power of two D, share one
+    (D, groups) intp table: column c holds one group's ids, in order, padded
+    with ``pad``.  Tables go by ascending D; empty groups are in none.
+    Rounding wastes at most half of each table.
     """
-    sizes = np.bincount(keys, minlength=count)
-    ids = _stable_order(keys, count) // width
     starts = np.cumsum(sizes) - sizes
     widths = np.left_shift(1, np.frexp(np.maximum(sizes, 1) - 1)[1])  # smallest 2^e >= size
     tables = []
     for D in np.unique(widths[sizes > 0]).tolist():
-        values = np.flatnonzero((widths == D) & (sizes > 0))
+        groups = np.flatnonzero((widths == D) & (sizes > 0))
         slot = np.arange(D)[:, None]
-        at = np.minimum(starts[values] + slot, len(ids) - 1)
-        table = np.where(slot < sizes[values], ids[at], pad)
+        table = ids[np.minimum(starts[groups] + slot, len(ids) - 1)]
+        table[slot >= sizes[groups]] = pad
         table.setflags(write=False)
         tables.append(table)
     return tuple(tables)
@@ -67,8 +77,9 @@ class Hypergraph:
 
     ``edges_arr`` is the (m, k) int64 array of the edges: each row strictly
     increasing, rows in lexicographic order, no duplicates.  ``edges`` and
-    ``incidence`` are tuple views of it, built on first use.  Instances are
-    safe to share across worker threads.
+    ``incidence`` are tuple views of it.  Every derived item is built once,
+    on first use, by whichever thread reads it first, so instances are safe
+    to share across worker threads.
     """
 
     def __init__(self, n: int, k: int, edges):
@@ -84,6 +95,12 @@ class Hypergraph:
             if not wrong:
                 raise
             raise ValueError(f"edge {tuple(wrong[0])} does not have {k} distinct vertices") from None
+        if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"):
+            given = np.reshape(raw, rows.shape)  # the int64 cast truncates 0.5 to 0
+            cut = np.flatnonzero((rows != given).any(axis=1))
+            if cut.size:
+                edge = tuple(given[cut[0]].tolist())
+                raise ValueError(f"edge {edge} has a vertex id that is not an integer")
         # canonical rows (strictly increasing, strictly lex-ascending) skip both
         # sorts; compared one column pair at a time, since one (m, k - 1)
         # comparison took 5x as long on K3 N=100 (k - 1 entries per inner loop)
@@ -123,12 +140,12 @@ class Hypergraph:
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, k={self.k})"
 
-    @cached_property
+    @_built_once
     def edges(self) -> tuple[tuple[int, ...], ...]:
         """The rows of ``edges_arr`` as k-tuples."""
         return tuple(map(tuple, self.edges_arr.tolist()))
 
-    @cached_property
+    @_built_once
     def _incident(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, starts): the ids of the edges containing v, ascending, are
         ``ids[starts[v] : starts[v + 1]]`` (read-only)."""
@@ -143,24 +160,25 @@ class Hypergraph:
         ids, starts = self._incident
         return ids[starts[v] : starts[v + 1]]
 
-    @cached_property
+    @_built_once
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """``incidence[v]``: the ids of the edges containing v, ascending."""
         ids, starts = (a.tolist() for a in self._incident)
         return tuple(tuple(ids[a:b]) for a, b in zip(starts, starts[1:]))
 
-    @cached_property
+    @_built_once
     def incidence_buckets(self) -> tuple[np.ndarray, ...]:
         """The ids of the edges at each vertex, in the power-of-two tables of
-        :func:`_buckets`, padded with m; isolated vertices are left out."""
-        return _buckets(self.edges_arr.ravel(), self.n, self.k, self.m)
+        :func:`_tables`, padded with m; isolated vertices are left out."""
+        return _tables(self._incident[0], self.deg, self.m)
 
-    @cached_property
+    @_built_once
     def pair_incidence_buckets(self) -> tuple[np.ndarray, ...]:
         """The ids of the edges at each pair of :attr:`pair_index`, in the
-        power-of-two tables of :func:`_buckets`, padded with m."""
-        ids = self.pair_index.edge_pair_ids
-        return _buckets(ids.ravel(), self.pair_index.count, ids.shape[1], self.m)
+        power-of-two tables of :func:`_tables`, padded with m."""
+        keys, count = self.pair_index.edge_pair_ids, self.pair_index.count
+        ids = _stable_order(keys.ravel(), count) // keys.shape[1]
+        return _tables(ids, np.bincount(keys.ravel(), minlength=count), self.m)
 
     def _pair_codes(self) -> tuple[np.ndarray, int, np.ndarray | None]:
         """(codes, base, labels): ``codes[e, j]`` is ``a * base + b`` for the
@@ -179,7 +197,7 @@ class Hypergraph:
         rows = rows.astype(dtype, copy=False)
         return rows[:, i] * dtype(base) + rows[:, j], base, labels
 
-    @cached_property
+    @_built_once
     def pair_index(self) -> "PairIndex":
         """Index of all vertex pairs that co-occur in at least one edge.
 
@@ -202,7 +220,7 @@ class Hypergraph:
             a.setflags(write=False)
         return PairIndex(count=len(uniq), u=u, v=v, edge_pair_ids=ids)
 
-    @cached_property
+    @_built_once
     def max_codegree(self) -> int:
         """The largest co-degree: the longest run of equal codes among the
         sorted codes of the vertex pairs inside the edges (0 without pairs).
@@ -218,14 +236,14 @@ class Hypergraph:
         ends = np.flatnonzero(codes[1:] != codes[:-1])  # the last index of each run but the last
         return int(np.diff(ends, prepend=-1, append=codes.size - 1).max())
 
-    @cached_property
+    @_built_once
     def deg(self) -> np.ndarray:
         """``deg[v]``: the number of edges containing v (read-only)."""
         deg = np.bincount(self.edges_arr.ravel(), minlength=self.n)
         deg.setflags(write=False)
         return deg
 
-    @cached_property
+    @_built_once
     def stats(self) -> "HypergraphStats":
         """n, m, k, the max/min degree and :attr:`max_codegree`; read it
         through :func:`stats_of`."""
@@ -272,7 +290,7 @@ def codegree(H: Hypergraph, u: int, v: int) -> int:
     for w in (u, v):
         if not 0 <= w < H.n:
             raise ValueError(f"vertex id {w} outside [0, {H.n})")
-    return len(set(H.incidence[u]).intersection(H.incidence[v]))
+    return np.intersect1d(H.edges_at(u), H.edges_at(v), assume_unique=True).size
 
 
 def stats_of(H: Hypergraph) -> HypergraphStats:

@@ -25,7 +25,6 @@ from .percolation import (
     codeg_holds,
     codeg_trigger,
     degree_cap,
-    prepare_extremes,
     run_exposure,
     surviving_edge_counts,
     surviving_edge_mask,
@@ -219,19 +218,19 @@ def _per_trial(cfg: TrialConfig, lane: int, body, first: int = 0) -> list:
     return [out for part in parts for out in part]
 
 
-def _per_block(cfg: TrialConfig, lane: int, H: Hypergraph, q: float, body, first: int = 0) -> list:
+def _per_block(cfg: TrialConfig, lane: int, H: Hypergraph, q: float, body, first: int = 0) -> np.ndarray:
     """The trials of one percolation at q, 64 at a time: ``body(alive, size)``
-    per block of ``size`` consecutive trials returns their ``size`` results,
-    which are joined in trial order.
+    per block of ``size`` consecutive trials returns an array whose last axis
+    holds their ``size`` results, and the blocks' arrays are joined along it
+    in trial order.
 
     Trial t keeps vertex v when ``TrialStream(cfg.master_seed, first + t,
     lane).uniforms(n)[v] < q``.  Bit j of ``alive[e]`` says whether edge e
     survives in the block's trial j; bits j >= ``size`` are 0.  ``body``
     reduces all its trials at once, as :func:`surviving_edge_counts` and
     :func:`surviving_extremes` do.  ``cfg.workers`` threads split whole
-    blocks, which changes no result; the caller derives what ``body`` reads
-    of H's cached data beforehand, so that the threads share it (see
-    :func:`prepare_extremes`).
+    blocks, which changes no result; they share H, whose derived data the
+    first block to read it builds once.
     """
     rows = max(1, min(BLOCK, DRAW_UNIFORMS // H.n))
 
@@ -247,8 +246,7 @@ def _per_block(cfg: TrialConfig, lane: int, H: Hypergraph, q: float, body, first
             words |= octets.view("<u8").ravel() << np.uint64(r)
         return body(surviving_edge_mask(H, words), size)
 
-    parts = _in_order(block, range(0, cfg.trials, BLOCK), cfg.workers)
-    return [out for part in parts for out in part]
+    return np.concatenate(_in_order(block, range(0, cfg.trials, BLOCK), cfg.workers), axis=-1)
 
 
 def edge_count_samples(
@@ -258,10 +256,10 @@ def edge_count_samples(
     if not 0.0 < q < 1.0:
         raise ValueError(f"retention probability must lie in (0, 1), got {q}")
 
-    def block(alive: np.ndarray, size: int) -> list[int]:
-        return surviving_edge_counts(alive)[:size].tolist()
+    def block(alive: np.ndarray, size: int) -> np.ndarray:
+        return surviving_edge_counts(alive)[:size]
 
-    return np.array(_per_block(cfg, lane, H, q, block), dtype=np.int64)
+    return _per_block(cfg, lane, H, q, block)
 
 
 def estimate_tail(
@@ -329,18 +327,14 @@ def verify_p4(
     for qi, q in enumerate(q_grid):
         cap = degree_cap(q, H, params.gamma_cap)
         trigger = codeg_trigger(params.p, q, H)
-        prepare_extremes(H, q, trigger)  # before the threads start
 
-        def block(alive: np.ndarray, size: int) -> list[tuple[int, int, bool, bool]]:
-            dmaxes, dmins, cmaxes = surviving_extremes(H, alive, size, codeg=trigger).tolist()
-            return [
-                (dmax, cmax, dmax > cap, not codeg_holds(cmax, dmin, H.n))
-                for dmax, dmin, cmax in zip(dmaxes, dmins, cmaxes)
-            ]
+        def block(alive: np.ndarray, size: int) -> np.ndarray:
+            return surviving_extremes(H, alive, size, codeg=trigger)
 
-        rows = _per_block(cfg, LANE_P4, H, q, block, first=qi * cfg.trials)
-        dmaxes, cmaxes, bad_deg, bad_codeg = zip(*rows)
-        viol = sum(d or c for d, c in zip(bad_deg, bad_codeg))
+        dmax, dmin, cmax = _per_block(cfg, LANE_P4, H, q, block, first=qi * cfg.trials)
+        bad_deg = dmax > cap
+        bad_codeg = ~codeg_holds(cmax, dmin, H.n)
+        viol = int(np.count_nonzero(bad_deg | bad_codeg))
         lo, hi = clopper_pearson(viol, cfg.trials, cfg.significance)
         points.append(
             P4GridPoint(
@@ -348,14 +342,14 @@ def verify_p4(
                 trials=cfg.trials,
                 deg_cap=cap,
                 trigger=trigger,
-                deg_violations=sum(bad_deg),
-                codeg_violations=sum(bad_codeg),
+                deg_violations=int(np.count_nonzero(bad_deg)),
+                codeg_violations=int(np.count_nonzero(bad_codeg)),
                 violations=viol,
                 point_estimate=viol / cfg.trials,
                 ci_low=lo,
                 ci_high=hi,
-                max_deg_seen=max(dmaxes),
-                max_codeg_seen=max(cmaxes),
+                max_deg_seen=int(dmax.max()),
+                max_codeg_seen=int(cmax.max()),
                 supported=(viol == 0 and hi <= threshold),
             )
         )
@@ -500,10 +494,9 @@ def run_exposure_campaign(
     float64 in trial order.
     """
     for name, value in (("lam", lam), ("gamma_cap", gamma_cap)):
-        if value <= 0:  # as NicenessParams requires
+        if not value > 0:  # as NicenessParams requires; NaN fails too
             raise ValueError(f"{name} must be positive")
     rounds = schedule.rounds
-    stats_of(H)  # derived before the threads start
 
     def trial(stream: TrialStream) -> np.ndarray:
         # per round: edge count, its square, degree-square sum, the four condition flags

@@ -154,7 +154,8 @@ def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool)
     longest runs of equal sorted (trial, pair) keys.  A denser block adds its
     words per vertex in bit-sliced counters and reads each trial's extremes
     off the counter planes (:func:`_plane_extremes`), at a cost that does not
-    grow with q; it builds :attr:`Hypergraph.incidence_buckets` on first use.
+    grow with q.  What a path reads of H (the pair index, the bucket tables)
+    is built once, by the first block to take that path, on any thread.
 
     On a linear H (every co-degree at most 1, as for triangles of K_N) the
     co-degree maximum of a trial is H's own when some edge survives and 0
@@ -169,23 +170,6 @@ def surviving_extremes(H: Hypergraph, alive: np.ndarray, size: int, codeg: bool)
     if codeg and not pairs:
         out[2] = np.where(out[0] > 0, top, 0)
     return out
-
-
-def prepare_extremes(H: Hypergraph, q: float, codeg: bool) -> None:
-    """Derive what :func:`surviving_extremes` reads on the blocks of a
-    percolation at q, so that worker threads find it built: H's statistics,
-    the pair index when it counts pairs, and the incidence buckets
-    when a full block is expected to take the counter planes (each edge
-    survives in q^k of its 64 trials).  A block that takes them all the same
-    builds them on first use."""
-    top = stats_of(H).max_codegree
-    pairs = codeg and top > 1
-    if pairs:
-        H.pair_index
-    if 64 * q**H.k > _DENSE:
-        H.incidence_buckets
-        if pairs:
-            H.pair_incidence_buckets
 
 
 def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +252,7 @@ def _plane_extremes(H: Hypergraph, alive: np.ndarray, size: int, pairs: bool) ->
 
 def _counter_planes(buckets: tuple[np.ndarray, ...], words: np.ndarray) -> np.ndarray:
     """The (bits, columns) counter planes of ``words`` summed down each
-    column of each bucket table (see :func:`core._buckets`), in column
+    column of each bucket table (see :func:`core._tables`), in column
     chunks of at most ``_PLANE_WORDS`` words."""
     depth = len(buckets[-1]).bit_length() if buckets else 0  # tables go by height
     planes = np.zeros((depth, sum(table.shape[1] for table in buckets)), dtype=np.uint64)
@@ -337,10 +321,14 @@ def surviving_pair_counts(H: Hypergraph, alive: np.ndarray) -> np.ndarray:
     return np.bincount(pairs.edge_pair_ids[alive].ravel(), minlength=pairs.count)
 
 
-def codeg_holds(max_codeg: int, min_pos_deg: int, n: int) -> bool:
-    """Condition (4) on one trial's surviving edges: the max co-degree is at
-    most (min positive degree) / ln^3 n.  True when no pair survives."""
-    return not max_codeg or max_codeg <= min_pos_deg * math.log(n) ** -3
+def codeg_holds(max_codeg, min_pos_deg, n: int) -> np.ndarray:
+    """Condition (4) on one trial's surviving edges, or elementwise on arrays
+    of trials: the max co-degree is at most (min positive degree) / ln^3 n.
+    True where no pair survives; ln n (0 at n = 1) is read only if one does."""
+    max_codeg = np.asarray(max_codeg)
+    if not max_codeg.any():
+        return max_codeg == 0
+    return (max_codeg == 0) | (max_codeg <= min_pos_deg * math.log(n) ** -3)
 
 
 def degree_cap(q: float, H: Hypergraph, gamma_cap: float) -> float:
@@ -478,7 +466,7 @@ def check_preconditions(state: RoundState, lam: float, gamma_cap: float) -> Prec
         # H's own once an edge survives: 1, or 0 for k = 1, which has no pairs
         top = stats.max_codegree
         max_codeg = top if top <= 1 else int(surviving_pair_counts(H, state.alive).max())
-        holds_codeg = codeg_holds(max_codeg, int(deg[deg > 0].min()), n)
+        holds_codeg = bool(codeg_holds(max_codeg, int(deg[deg > 0].min()), n))
 
     t1 = (p**k * m) ** -0.5 * eps ** (k * (i + 1)) * m + (1 - eps) * lam * math.sqrt(
         eps ** ((k + 1) * (i + 1)) * m / p

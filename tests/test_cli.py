@@ -508,6 +508,24 @@ def test_inputs_that_would_emit_non_finite_values_are_usage_errors(tmp_path, mon
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--lambda", "nan"], "lam"),
+    (["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--gamma", "nan"], "gamma_cap"),
+    (["nice", "--p", "0.3", "--lambda", "nan", "--gamma", "1", "--b", "1"], "lam"),
+    (["nice", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "nan"], "b"),
+], ids=["expose-lambda", "expose-gamma", "nice-lambda", "nice-b"])
+def test_nan_parameters_fail_before_any_trial(tmp_path, monkeypatch, argv, name):
+    # NaN passes a `value <= 0` test; it must not reach the campaign
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(hypertail.montecarlo, "_per_trial", no_trial)
+    monkeypatch.setattr(hypertail.montecarlo, "_per_block", no_trial)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    code, out, err = run(argv + ["--in", str(tmp_path / "d.hgr"), "--seed", "1"])
+    assert (code, out, err) == (1, "", f"error: {name} must be positive\n")
+
+
 @pytest.mark.parametrize("text, argv", [
     ("1 1 1\n0\n", ["nice", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
     ("1 1 1\n0\n", ["bound", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),

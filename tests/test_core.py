@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter, defaultdict
 from itertools import combinations
 
@@ -41,6 +42,18 @@ def test_validate_rejects_wrong_cardinality():
         Hypergraph(n=4, k=3, edges=[(0, 1)])
     with pytest.raises(ValueError):
         Hypergraph(n=4, k=3, edges=[(0, 1, 1)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1.9), (2, 3)],
+    np.array([[0.7, 1.2]]),
+    [(0, 1), (2.5, 3)],
+    [("0", "1")],
+])
+def test_validate_rejects_ids_that_are_not_integers(edges):
+    # an int64 cast alone would truncate 0.5 and 1.9 to (0, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        Hypergraph(n=4, k=2, edges=edges)
 
 
 def test_validate_rejects_bad_k():
@@ -244,6 +257,22 @@ def test_incidence_buckets_group_the_edges_of_each_vertex_and_pair(H):
             at_pair[pair].append(e)
     assert bucket_columns(H.incidence_buckets, H.m) == sorted(at_vertex.values())
     assert bucket_columns(H.pair_incidence_buckets, H.m) == sorted(at_pair.values())
+
+
+def test_vertex_tables_build_within_five_edge_arrays():
+    # K3 on K_80: 82 160 edges, each vertex in 78 of them, so one (128, 3160)
+    # table of 3.1 MiB. Holding the gather index, the gathered ids, the mask
+    # and the padded table at once peaked at 11.6 MiB; padding the gathered
+    # ids in place peaks at 8.2 MiB, the grouping that stays cached included
+    subgraph_hypergraph(complete(3), 8).incidence_buckets  # warm numpy outside the trace
+    H = subgraph_hypergraph(complete(3), 80)
+    tracemalloc.start()
+    try:
+        H.incidence_buckets
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * H.edges_arr.nbytes
 
 
 def test_pair_codes_do_not_overflow_past_int64():

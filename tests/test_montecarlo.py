@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -31,6 +32,7 @@ from hypertail import (
     verify_p4,
     z_identity_check,
 )
+from hypertail import core
 from hypertail.montecarlo import (
     LANE_EXPOSURE,
     LANE_P4,
@@ -190,6 +192,29 @@ def test_p4_at_sparse_q_builds_no_incidence():
     params = NicenessParams(p=0.05, lam=2, gamma_cap=10.0, b=1)
     verify_p4(H, params, [0.1, 0.2], TrialConfig(master_seed=3, trials=100))
     assert "incidence_buckets" not in vars(H) and "pair_index" not in vars(H)
+
+
+def test_p4_threads_build_the_vertex_tables_once(monkeypatch):
+    # at q = 0.5 every block takes the counter planes (64 q^3 = 8 set bits
+    # per edge); the table builder sleeps, so that the second thread asks
+    # for the tables while the first one builds them
+    builds, build = [], core._tables
+
+    def slow_tables(*args):
+        builds.append(args)
+        time.sleep(0.2)
+        return build(*args)
+
+    monkeypatch.setattr(core, "_tables", slow_tables)
+    params = NicenessParams(p=0.1, lam=2, gamma_cap=10.0, b=1)
+    evidence = []
+    for workers in (1, 2):
+        builds.clear()
+        H = subgraph_hypergraph(complete(3), 12)
+        cfg = TrialConfig(master_seed=5, trials=256, workers=workers)
+        evidence.append(verify_p4(H, params, [0.5], cfg))
+        assert len(builds) == 1 and "incidence_buckets" in vars(H)
+    assert evidence[0] == evidence[1]
 
 
 def test_p4_rejects_bad_grid():

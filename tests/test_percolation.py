@@ -26,6 +26,7 @@ from hypertail import (
 from hypertail import percolation
 from hypertail.percolation import (
     RoundState,
+    codeg_holds,
     codeg_trigger,
     codegree_sums,
     surviving_degrees,
@@ -175,6 +176,16 @@ def test_surviving_extremes_match_a_per_trial_recount(block, codeg, tight):
     with limits:
         got = surviving_extremes(H, alive, size, codeg).tolist()
     assert got == recount_extremes(H, words, size, codeg)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 30])
+def test_codeg_holds_agrees_on_scalars_and_arrays(n):
+    # n = 1 has no pairs, and ln 1 = 0 must not be raised to the power -3
+    cmax = [0, 0, 0] if n == 1 else [0, 0, 1, 1, 2, 3, 6, 1]
+    dmin = [0, 1, 4, 0, 5, 90, 2000, 1][: len(cmax)]
+    expected = [not c or c <= d * math.log(n) ** -3 for c, d in zip(cmax, dmin)]
+    assert [codeg_holds(c, d, n) for c, d in zip(cmax, dmin)] == expected
+    assert codeg_holds(np.array(cmax), np.array(dmin), n).tolist() == expected
 
 
 def test_surviving_extremes_take_the_planes_above_one_bit_per_edge():
