@@ -195,12 +195,12 @@ def mcdiarmid(t: float, lipschitz) -> float:
     beyond that range the exponent under- or overflows only where its true
     value does.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise ValueError("deviation t must be >= 0")
     coeffs = [float(a) for a in lipschitz]
     if not coeffs:
         raise ValueError("at least one Lipschitz coefficient is required")
-    if any(a < 0 for a in coeffs):
+    if not all(a >= 0 for a in coeffs):
         raise ValueError("Lipschitz coefficients must be >= 0")
     if not any(coeffs):
         if t > 0:
@@ -229,7 +229,7 @@ def regime(spec: GraphSpec, N: int, c1: float) -> RegimeParams:
     [N^(-rho1+c1), N^(-rho2-c1)] for p and [8 ln N, N^c2] for lambda."""
     if spec.e_g < 3:
         raise ValueError(f"pattern must have at least 3 edges, got {spec.e_g}")
-    if c1 <= 0:
+    if not c1 > 0:
         raise ValueError("c1 must be positive")
     if N < spec.v_g:
         raise InfeasibleError(f"N={N} is smaller than the pattern's {spec.v_g} vertices")

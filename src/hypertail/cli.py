@@ -62,6 +62,10 @@ def _versions() -> dict:
 
 
 def _record(cmd: str, params: dict, result) -> dict:
+    """One output record.  ``params`` echoes the command's flags through
+    :func:`_echo` and adds by hand only values that no flag holds as given:
+    the resolved ``seed`` and ``seed_auto``, ``gen``'s resolved ``budget``,
+    parsed number lists, the ``pattern`` label and ``expose``'s schedule."""
     return {"cmd": cmd, "params": params, "result": result, "versions": _versions()}
 
 
@@ -177,13 +181,16 @@ def _niceness_params(args) -> bounds.NicenessParams:
     )
 
 
-# Record params key -> attribute holding the niceness flag's value.
-_NICENESS_KEYS = {"p": "p", "lambda": "lam", "gamma": "gamma", "b": "b", "bk": "bk", "n0": "n0"}
+def _key(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
-def _niceness_echo(args, keys=tuple(_NICENESS_KEYS)) -> dict:
-    """The niceness flags named by ``keys``, as a record's params."""
-    return {key: getattr(args, _NICENESS_KEYS[key]) for key in keys}
+def _echo(args, flags) -> dict:
+    """The values of ``flags`` as record params.  A flag's key is its name
+    without the leading dashes and with hyphens made underscores
+    (``--p4-grid`` -> ``p4_grid``, ``--in`` -> ``in``); its value is the
+    attribute named by its ``dest`` in FLAGS."""
+    return {_key(flag): getattr(args, FLAGS[flag].get("dest", _key(flag))) for flag in flags}
 
 
 def _cmd_gen(args):
@@ -191,24 +198,24 @@ def _cmd_gen(args):
         raise UsageError(f"unknown family {args.family!r}")
     _parse_only(args, ("--family", "--budget") + GEN_FAMILIES[args.family])
     budget = args.budget or generators.DEFAULT_ENUMERATION_BUDGET
-    params = {"family": args.family, "budget": budget}
+    params = {**_echo(args, ("--family",)), "budget": budget}
     if args.family in PATTERN_FAMILIES:
         spec = _graph_spec(args)
         if args.N is None:
             raise UsageError("pattern families require --N")
         H = generators.subgraph_hypergraph(spec, args.N, budget=budget)
-        params.update(N=args.N, pattern=spec.label)
+        params.update(_echo(args, ("--N",)), pattern=spec.label)
     elif args.family == "disjoint":
         if args.m is None or args.k is None:
             raise UsageError("--family disjoint requires --m and --k")
         H = generators.disjoint_edges(args.m, args.k, budget=budget)
-        params.update(m=args.m, k=args.k)
+        params.update(_echo(args, ("--m", "--k")))
     else:
         if args.n is None or args.m is None or args.k is None:
             raise UsageError("--family random requires --n, --m and --k")
         seed, auto = _resolve_seed(args)
         H = generators.random_uniform(args.n, args.m, args.k, seed=seed, budget=budget)
-        params.update(n=args.n, m=args.m, k=args.k, seed=seed, seed_auto=auto)
+        params.update(_echo(args, ("--n", "--m", "--k")), seed=seed, seed_auto=auto)
     if args.out:
         hgr.write_hgr(H, args.out)
         return _record("gen", params, {"path": args.out, "k": H.k, "n": H.n, "m": H.m})
@@ -218,7 +225,7 @@ def _cmd_gen(args):
 def _cmd_stats(args):
     H = hgr.read_hgr(args.infile)
     result = _result(stats_of(H), degree_sum=H.m * H.k)
-    return _record("stats", {"in": args.infile}, result)
+    return _record("stats", _echo(args, ("--in",)), result)
 
 
 # The grid point fields a nice record keeps; simulate --task p4 keeps them all.
@@ -230,7 +237,7 @@ def _cmd_nice(args):
     stats = stats_of(H)
     params = _niceness_params(args)
     evidence = None
-    record_params = {"in": args.infile, **_niceness_echo(args)}
+    record_params = _echo(args, ("--in",) + NICENESS)
     if args.p4_grid is None:  # the stochastic flags drive the P4 grid only
         _parse_only(args, ("--in",) + NICENESS)
     else:
@@ -239,7 +246,7 @@ def _cmd_nice(args):
         grid = _floats(args.p4_grid)
         evidence = montecarlo.verify_p4(H, params, grid, cfg)
         record_params.update(
-            p4_grid=grid, seed=seed, seed_auto=auto, trials=args.trials, workers=args.workers
+            _echo(args, ("--trials", "--workers")), p4_grid=grid, seed=seed, seed_auto=auto
         )
     report = bounds.check_nice(stats, params, p4_evidence=evidence)
     p4 = {"status": report.p4_status}
@@ -255,11 +262,10 @@ def _cmd_nice(args):
 
 def _cmd_bound(args):
     H = hgr.read_hgr(args.infile)
-    echo = _niceness_echo(args, ("p", "lambda", "gamma", "b", "bk"))  # main_bound's floats
-    with _blame_flag({f"--{key}": [value] for key, value in echo.items()}):
+    floats = _echo(args, NICENESS[:-1])  # main_bound's floats: all but --n0
+    with _blame_flag({f"--{key}": [value] for key, value in floats.items()}):
         mb = bounds.main_bound(stats_of(H), _niceness_params(args))
-    record_params = {"in": args.infile, **_niceness_echo(args)}
-    return _record("bound", record_params, asdict(mb))
+    return _record("bound", _echo(args, ("--in",) + NICENESS), asdict(mb))
 
 
 def _cmd_regime(args):
@@ -267,7 +273,7 @@ def _cmd_regime(args):
     _parse_only(args, ("--family", "--c1") + PATTERN_FAMILIES[args.family])
     with _blame_flag({"--N": [args.N], "--c1": [args.c1]}):
         reg = bounds.regime(spec, args.N, args.c1)
-    params = {"family": args.family, "N": args.N, "c1": args.c1, "pattern": spec.label}
+    params = {**_echo(args, ("--family", "--N", "--c1")), "pattern": spec.label}
     return _record("regime", params, _result(reg, pattern=spec.label))
 
 
@@ -284,14 +290,13 @@ def _cmd_oracle(args):
         result["distribution"] = [[x, dist.probabilities[x]] for x in sorted(dist.probabilities)]
         result["distribution_mean"] = dist.mean()
         result["distribution_variance"] = dist.variance()
-    params = {"in": args.infile, "p": args.p, "dist": bool(args.dist)}
-    return _record("oracle", params, result)
+    return _record("oracle", _echo(args, ("--in", "--p", "--dist")), result)
 
 
 def _cmd_mcdiarmid(args):
     coeffs = _floats(args.lipschitz)
     value = bounds.mcdiarmid(args.t, coeffs)
-    params = {"t": args.t, "lipschitz": coeffs}
+    params = {**_echo(args, ("--t",)), "lipschitz": coeffs}
     return _record("mcdiarmid", params, {"bound": value})
 
 
@@ -313,14 +318,10 @@ def _cmd_expose(args):
         H, schedule, args.lam, args.gamma, cfg, montecarlo.LANE_EXPOSURE
     )
     params = {
-        "in": args.infile,
-        "p": args.p,
+        **_echo(args, ("--in", "--p", "--lambda", "--gamma", "--trials")),
         "epsilon": schedule.epsilon,
         "rounds": schedule.rounds,
         "strict_mode": schedule.strict_mode,
-        "lambda": args.lam,
-        "gamma": args.gamma,
-        "trials": args.trials,
         "seed": seed,
         "seed_auto": auto,
     }
@@ -341,7 +342,7 @@ def _simulate_p4(args, H, cfg, params):
     nice = _niceness_params(args)
     grid = _floats(args.p4_grid) if args.p4_grid else list(montecarlo.geometric_q_grid(args.p))
     evidence = montecarlo.verify_p4(H, nice, grid, cfg)
-    params.update(p4_grid=grid, **_niceness_echo(args, ("lambda", "gamma", "b", "bk")))
+    params.update(_echo(args, ("--lambda", "--gamma", "--b", "--bk")), p4_grid=grid)
     result = asdict(evidence)
     result["grid"] = result.pop("points")
     return result
@@ -353,7 +354,7 @@ def _simulate_subgaussian(args, H, cfg, params):
         fit = montecarlo.fit_subgaussian(
             H, args.p, lambdas, args.variance_source, cfg, pair_budget=args.budget
         )
-    params.update(lambdas=lambdas, variance_source=args.variance_source)
+    params.update(_echo(args, ("--variance-source",)), lambdas=lambdas)
     return _result(fit, drop=("lambdas",))
 
 
@@ -366,14 +367,14 @@ def _simulate_deg_moment(args, H, cfg, params):
     report = montecarlo.check_degree_moment(
         H, state, schedule, cfg, vertices=args.vertices, continuations=args.continuations
     )
-    params.update(round=args.round, continuations=args.continuations)
+    params.update(_echo(args, ("--round", "--continuations")))
     return _result(report, holds=report.holds)
 
 
 def _simulate_deg_square_sum(args, H, cfg, params):
     schedule = _schedule_from_args(args, H.n)
     report = montecarlo.check_degree_square_sum(H, schedule, args.lam, args.gamma, cfg)
-    params.update(_niceness_echo(args, ("lambda", "gamma")))
+    params.update(_echo(args, ("--lambda", "--gamma")))
     return _result(report, holds=report.holds)
 
 
@@ -383,23 +384,14 @@ def _cmd_simulate(args):
     handler, flags, required = TASKS[args.task]
     seed, auto = _resolve_seed(args)
     _parse_only(args, SIMULATE + flags, required)
-    params = {
-        "in": args.infile,
-        "task": args.task,
-        "p": args.p,
-        "trials": args.trials,
-        "workers": args.workers,
-        "significance": args.significance,
-        "seed": seed,
-        "seed_auto": auto,
-    }
+    params = {**_echo(args, SIMULATE), "seed": seed, "seed_auto": auto}  # the seed as resolved
     result = handler(args, hgr.read_hgr(args.infile), _trial_config(args, seed), params)
     return _record("simulate", params, result)
 
 
 def _cmd_ext(args):
     spec = _graph_spec(args)
-    params = {"family": args.family, "pattern": spec.label, "task": args.task}
+    params = {**_echo(args, ("--family", "--task")), "pattern": spec.label}
     if args.task == "balanced":
         rg = extensions.build_rooted(spec, args.roots)
         result = {
@@ -409,21 +401,19 @@ def _cmd_ext(args):
             "density": rg.density,
             "balanced": extensions.is_balanced(rg),
         }
-        params["roots"] = args.roots
+        params.update(_echo(args, ("--roots",)))
         return _record("ext", params, result)
     if args.task == "expected":
         if args.N is None or args.q is None:
             raise UsageError("--task expected requires --N and --q")
         value = extensions.expected_extensions(spec, args.roots, args.N, args.q)
-        params.update(roots=args.roots, N=args.N, q=args.q)
+        params.update(_echo(args, ("--roots", "--N", "--q")))
         return _record("ext", params, {"expected_extensions": value})
     if args.N is None or args.q is None:
         raise UsageError(f"--task {args.task} requires --N and --q")
     seed, auto = _resolve_seed(args)
     cfg = _trial_config(args, seed)
-    params.update(
-        N=args.N, q=args.q, trials=args.trials, seed=seed, seed_auto=auto, workers=args.workers
-    )
+    params.update(_echo(args, ("--N", "--q", "--trials", "--workers")), seed=seed, seed_auto=auto)
     if args.task == "zcheck":
         report = extensions.z_identity_check(
             spec, args.N, args.q, cfg, conditioned_target=args.conditioned
@@ -433,7 +423,7 @@ def _cmd_ext(args):
             raise UsageError("--task caps requires --p")
         nice = _niceness_params(args)
         report = extensions.extension_cap_check(spec, args.N, args.q, nice, cfg)
-        params.update(_niceness_echo(args, ("p", "lambda", "gamma", "b")))
+        params.update(_echo(args, ("--p", "--lambda", "--gamma", "--b")))
     else:
         raise UsageError(f"unknown ext task {args.task!r}")
     return _record("ext", params, asdict(report))

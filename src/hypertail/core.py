@@ -201,18 +201,12 @@ class Hypergraph:
     def pair_index(self) -> "PairIndex":
         """Index of all vertex pairs that co-occur in at least one edge.
 
-        A pair's dense id is the rank of its code among the distinct codes,
-        found by one argsort and the starts of the runs of equal sorted codes.
+        A pair's dense id is the rank of its code among the distinct codes.
         """
         codes, base, labels = self._pair_codes()
-        order = np.argsort(codes, axis=None)
-        ranked = codes.ravel()[order]
-        first = np.ones(ranked.size, dtype=bool)  # the start of each run of equal codes
-        first[1:] = ranked[1:] != ranked[:-1]
-        ids = np.empty(ranked.size, dtype=np.int64)
-        ids[order] = np.cumsum(first) - 1
+        uniq, ids = np.unique(codes, return_inverse=True)
         ids = ids.reshape(codes.shape)
-        uniq = ranked[first].astype(np.int64)
+        uniq = uniq.astype(np.int64)
         u, v = uniq // base, uniq % base
         if labels is not None:
             u, v = labels[u], labels[v]

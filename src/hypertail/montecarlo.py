@@ -376,7 +376,7 @@ def fit_subgaussian(
     are recorded separately, never fitted.
     """
     lambdas = tuple(float(l) for l in lambda_grid)
-    if any(l <= 0 for l in lambdas):
+    if not all(l > 0 for l in lambdas):  # NaN fails too
         raise ValueError("lambda grid must be positive")
     if variance_source == "exact":
         variance = oracle.exact_variance(H, p, pair_budget=pair_budget)

@@ -224,11 +224,8 @@ def _listed_extremes(H: Hypergraph, alive: np.ndarray, size: int, pairs: bool) -
     if pairs:
         index = H.pair_index
         keys = index.edge_pair_ids[edge] + trial.astype(np.int64)[:, None] * index.count
-        keys = keys.ravel()
-        keys.sort()
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        runs = np.diff(starts, append=keys.size)
-        np.maximum.at(out[2], keys[starts] // index.count, runs)
+        keys, runs = np.unique(keys, return_counts=True)
+        np.maximum.at(out[2], keys // index.count, runs)
     return out
 
 

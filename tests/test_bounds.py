@@ -68,6 +68,10 @@ def test_mcdiarmid_validation():
         mcdiarmid(1.0, [])
     with pytest.raises(ValueError):
         mcdiarmid(1.0, [1.0, -2.0])
+    with pytest.raises(ValueError, match="deviation t must be >= 0"):
+        mcdiarmid(float("nan"), [1.0, 1.0])
+    with pytest.raises(ValueError, match="Lipschitz coefficients must be >= 0"):
+        mcdiarmid(2.0, [1.0, float("nan")])
 
 
 # --- degree_moment_bound ----------------------------------------------------------
@@ -274,6 +278,12 @@ def test_regime_k22():
 def test_regime_rejects_small_patterns():
     with pytest.raises(ValueError):
         regime(complete(2), 20, 0.1)
+
+
+@pytest.mark.parametrize("c1", [0.0, -0.1, float("nan")])
+def test_regime_rejects_c1_not_positive(c1):
+    with pytest.raises(ValueError, match="c1 must be positive"):
+        regime(complete(3), 50, c1)
 
 
 @pytest.mark.parametrize(

@@ -508,22 +508,42 @@ def test_inputs_that_would_emit_non_finite_values_are_usage_errors(tmp_path, mon
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.fixture
+def no_trials(monkeypatch):
+    """Fail the test if a Monte Carlo trial runs."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(hypertail.montecarlo, "_per_trial", no_trial)
+    monkeypatch.setattr(hypertail.montecarlo, "_per_block", no_trial)
+
+
 @pytest.mark.parametrize("argv, name", [
     (["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--lambda", "nan"], "lam"),
     (["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--gamma", "nan"], "gamma_cap"),
     (["nice", "--p", "0.3", "--lambda", "nan", "--gamma", "1", "--b", "1"], "lam"),
     (["nice", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "nan"], "b"),
 ], ids=["expose-lambda", "expose-gamma", "nice-lambda", "nice-b"])
-def test_nan_parameters_fail_before_any_trial(tmp_path, monkeypatch, argv, name):
+def test_nan_parameters_fail_before_any_trial(tmp_path, no_trials, argv, name):
     # NaN passes a `value <= 0` test; it must not reach the campaign
-    def no_trial(*args, **kwargs):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(hypertail.montecarlo, "_per_trial", no_trial)
-    monkeypatch.setattr(hypertail.montecarlo, "_per_block", no_trial)
     write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
     code, out, err = run(argv + ["--in", str(tmp_path / "d.hgr"), "--seed", "1"])
     assert (code, out, err) == (1, "", f"error: {name} must be positive\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--in", "d.hgr", "--p", "0.3", "--task", "subgaussian", "--lambdas", "nan",
+      "--seed", "1"], "lambda grid must be positive"),
+    (["mcdiarmid", "--t", "nan", "--lipschitz", "1,1"], "deviation t must be >= 0"),
+    (["mcdiarmid", "--t", "2", "--lipschitz", "1,nan"], "Lipschitz coefficients must be >= 0"),
+    (["regime", "--family", "complete", "--r", "3", "--N", "50", "--c1", "nan"],
+     "c1 must be positive"),
+], ids=["subgaussian-lambdas", "mcdiarmid-t", "mcdiarmid-lipschitz", "regime-c1"])
+def test_nan_library_inputs_fail_before_any_trial(tmp_path, monkeypatch, no_trials, argv, message):
+    # as above, for the checks that keep their own messages
+    monkeypatch.chdir(tmp_path)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    assert run(argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text, argv", [

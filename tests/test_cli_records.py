@@ -5,6 +5,10 @@ record's ``cmd``, ``params`` and ``result`` (floats kept as the emitted
 17-digit text; ``versions`` left out) with a digest captured from a known-good
 build.  ``gen`` without ``--out`` prints HGR text, which is digested as is.
 Paths in the records are relative: every case runs inside one directory.
+
+The params tests check, for every command and task, that a record echoes each
+flag it is given under the flag's own name, save the flags one table pins as
+left out, each with its reason.
 """
 
 import hashlib
@@ -14,7 +18,7 @@ import json
 import pytest
 
 from hypertail import Hypergraph, complete, disjoint_edges, subgraph_hypergraph
-from hypertail.cli import dispatch
+from hypertail.cli import FLAGS, dispatch
 from hypertail.hgr import write_hgr
 
 NICE = ["--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1", "--bk", "0.01", "--n0", "10"]
@@ -155,3 +159,136 @@ def test_record_bytes_are_pinned(case, workdir, monkeypatch):
     if not raw:
         assert out.count("\n") == 1
     assert digest(out, raw) == DIGESTS[case]
+
+
+# --- params ----------------------------------------------------------------
+
+# Every flag a record's params leave out, by command (and task), with its
+# reason.  Every other flag on an argv but --out and --config is echoed under
+# its name without the leading dashes, hyphens made underscores.
+#   encoded  another key carries the value: ``pattern``, or expose's
+#            ``epsilon``, ``rounds`` and ``strict_mode``
+#   gate     it only decides whether the command can run
+#   unread   the command takes it but does not read it
+#   gap      it changes the result but is not echoed (ROADMAP item 14)
+PATTERN_FLAGS = {"--r": "encoded", "--a": "encoded", "--b-side": "encoded"}
+NICE_FLAGS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
+OMITTED = {
+    "gen": PATTERN_FLAGS,
+    "regime": PATTERN_FLAGS,
+    "oracle": {"--budget": "gate"},
+    "expose": {"--eps-range": "encoded", "--force-rounds": "encoded", "--strict": "encoded"},
+    "nice --p4-grid": {"--significance": "gap"},
+    "simulate subgaussian": {"--budget": "gate"},
+    "simulate deg-moment": {
+        "--strict": "gate", "--eps-range": "gap", "--force-rounds": "gap", "--vertices": "gap",
+    },
+    "simulate deg-square-sum": {"--strict": "gate", "--eps-range": "gap", "--force-rounds": "gap"},
+    "ext balanced": {
+        **PATTERN_FLAGS,
+        **dict.fromkeys(("--seed", "--trials", "--workers", "--significance", "--N", "--q"),
+                        "unread"),
+        **dict.fromkeys(NICE_FLAGS + ("--conditioned",), "unread"),
+    },
+    "ext expected": {
+        **PATTERN_FLAGS,
+        **dict.fromkeys(("--seed", "--trials", "--workers", "--significance"), "unread"),
+        **dict.fromkeys(NICE_FLAGS + ("--conditioned",), "unread"),
+    },
+    "ext zcheck": {
+        **PATTERN_FLAGS,
+        "--conditioned": "gap",
+        **dict.fromkeys(("--significance", "--roots") + NICE_FLAGS, "unread"),
+    },
+    "ext caps": {
+        **PATTERN_FLAGS,
+        "--significance": "gap",
+        **dict.fromkeys(("--roots", "--bk", "--n0", "--conditioned"), "unread"),
+    },
+}
+
+# ext's flags besides the pattern's and --task, each with a valid value
+EXT_FLAGS = ["--roots", "2", "--N", "6", "--q", "0.5", "--seed", "1", "--trials", "5",
+             "--workers", "1", "--significance", "0.05", "--p", "0.1", "--lambda", "2",
+             "--gamma", "3", "--b", "1", "--bk", "0.1", "--n0", "5", "--conditioned", "3"]
+BIPARTITE = ["--family", "complete-bipartite", "--a", "2", "--b-side", "2"]
+
+# argv beyond CASES that give every flag OMITTED lists
+OMISSION_CASES = {
+    "gen-budget": ["gen", "--family", "complete", "--r", "3", "--N", "5", "--budget", "100",
+                   "--out", "g.hgr"],
+    "nice-p4-grid-significance": ["nice", "--in", "k3.hgr", *NICE, "--p4-grid", "0.2",
+                                  "--trials", "20", "--workers", "1", "--significance", "0.05",
+                                  "--seed", "5"],
+    "oracle-budget": ["oracle", "--in", "k3.hgr", "--p", "0.3", "--dist", "--budget", "40000"],
+    "expose-strict": ["expose", "--in", "k3.hgr", "--p", "1e-6", "--strict", "--force-rounds", "2",
+                      "--lambda", "2", "--gamma", "4", "--trials", "5", "--seed", "1"],
+    "simulate-subgaussian-budget": ["simulate", "--in", "k3.hgr", "--p", "0.3",
+                                    "--task", "subgaussian", "--lambdas", "0.5",
+                                    "--budget", "1000", "--trials", "20", "--seed", "1"],
+    "simulate-deg-moment-strict": ["simulate", "--in", "k3.hgr", "--p", "1e-6",
+                                   "--task", "deg-moment", "--strict", "--round", "1",
+                                   "--vertices", "2", "--continuations", "20", "--seed", "1"],
+    "simulate-deg-square-sum-strict": ["simulate", "--in", "k3.hgr", "--p", "1e-6",
+                                       "--task", "deg-square-sum", "--strict", "--trials", "5",
+                                       "--seed", "1"],
+    "ext-balanced-all": ["ext", "--task", "balanced", "--family", "complete", "--r", "4",
+                         *EXT_FLAGS],
+    "ext-balanced-bipartite": ["ext", "--task", "balanced", *BIPARTITE],
+    "ext-expected-all": ["ext", "--task", "expected", "--family", "complete", "--r", "3",
+                         *EXT_FLAGS],
+    "ext-expected-bipartite": ["ext", "--task", "expected", *BIPARTITE, "--N", "6", "--q", "0.5"],
+    "ext-zcheck-all": ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", *EXT_FLAGS],
+    "ext-caps-all": ["ext", "--task", "caps", "--family", "complete", "--r", "3", *EXT_FLAGS],
+    "ext-caps-bipartite": ["ext", "--task", "caps", *BIPARTITE, "--N", "6", "--p", "0.2",
+                           "--q", "0.5", "--lambda", "2", "--gamma", "1000", "--trials", "10",
+                           "--seed", "1"],
+}
+
+# gen without --out prints HGR text, not a record
+RECORD_CASES = {
+    name: argv for name, argv in {**CASES, **OMISSION_CASES}.items()
+    if argv[0] != "gen" or "--out" in argv
+}
+
+
+def omission_row(argv) -> str:
+    """The OMITTED row that ``argv``'s record is checked against."""
+    if argv[0] in ("simulate", "ext"):
+        return f"{argv[0]} {argv[argv.index('--task') + 1]}"
+    if argv[0] == "nice" and "--p4-grid" in argv:
+        return "nice --p4-grid"
+    return argv[0]
+
+
+def given_flags(argv) -> list[str]:
+    return [tok for tok in argv if tok.startswith("--") and tok not in ("--out", "--config")]
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_params_echo_each_flag_under_its_own_name(case, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    argv = RECORD_CASES[case]
+    params = json.loads(emit(argv))["params"]
+    omitted = OMITTED.get(omission_row(argv), {})
+    for flag in given_flags(argv):
+        key = flag.lstrip("-").replace("-", "_")
+        if flag in omitted:
+            assert key not in params, f"{flag} is pinned as {omitted[flag]} but echoed"
+            continue
+        assert key in params, f"{flag} is neither echoed nor pinned"
+        options = FLAGS[flag]
+        if options.get("action") == "store_true":
+            assert params[key] is True, flag
+        elif "type" in options:
+            assert params[key] == options["type"](argv[argv.index(flag) + 1]), flag
+
+
+def test_every_pinned_omission_is_given_by_some_argv():
+    given = {
+        (omission_row(argv), flag) for argv in RECORD_CASES.values() for flag in given_flags(argv)
+    }
+    pinned = {(row, flag) for row, flags in OMITTED.items() for flag in flags}
+    assert pinned - given == set()
+    reasons = {reason for flags in OMITTED.values() for reason in flags.values()}
+    assert reasons == {"encoded", "gate", "unread", "gap"}

@@ -280,6 +280,13 @@ def test_subgaussian_ci_width_shrinks_with_trials():
     assert width(large.estimates[0]) < width(small.estimates[0])
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+def test_subgaussian_rejects_a_lambda_not_positive(lam):
+    cfg = TrialConfig(master_seed=47, trials=10)
+    with pytest.raises(ValueError, match="lambda grid must be positive"):
+        fit_subgaussian(disjoint_edges(10, 3), 0.3, [1.0, lam], "exact", cfg)
+
+
 # --- conditional moment checks -------------------------------------------------------
 
 
