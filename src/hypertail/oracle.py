@@ -3,13 +3,14 @@
 These functions are the oracles the Monte Carlo estimators are tested
 against, so they stay independent of the simulation code paths.  The law is
 an exact count over all 2^n vertex subsets, factored into a product of two
-0/1 matrices over the high and low halves of the subset bits: time
-O(m 2^n) in BLAS, memory O(2^n).  Its reference, one masked pass over every
-subset per edge, lives in the tests.  The variance is an exact count: the
-edge-intersection profile gives how many edge pairs meet in each number of
-vertices, and the terms are summed without rounding error.  Its brute-force
-reference, a scan over every ordered pair of overlapping edges, lives in the
-tests.
+0/1 matrices over the high and low halves of the subset bits and streamed
+over blocks of high-half rows: time O(m 2^n) in BLAS, memory
+O(2^ceil(n/2) chunk + block) whatever m is.  Its reference, one masked pass
+over every subset per edge, lives in the tests.  The variance is an exact
+count: the edge-intersection profile gives how many edge pairs meet in each
+number of vertices, and the terms are summed without rounding error.  Its
+brute-force reference, a scan over every ordered pair of overlapping edges,
+lives in the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ DEFAULT_PAIR_BUDGET = 20_000
 ROWS_PER_BUDGETED_EDGE = 64  # 2^6: every vertex of a 6-uniform edge shared
 DEFAULT_ENUMERATION_LIMIT = 22
 CHUNK_ENTRIES = 1 << 20  # entries of the two 0/1 matrices per chunk of edges
+BLOCK_ENTRIES = 1 << 18  # subsets, the entries of the key, per block of high-half rows
 
 
 @dataclass(frozen=True)
@@ -148,30 +150,39 @@ def exact_distribution(
     subsets are the product of a 2^(n-l) x m and an m x 2^l 0/1 matrix.  The
     product runs in float32, exact while every partial sum, an integer below
     (m + 1)(n + 1), stays below 2^24, as it does for every n <= 22; otherwise
-    in float64.  It is summed over chunks of edges whose two matrices hold
-    CHUNK_ENTRIES entries together, so its working memory is O(2^n) whatever
-    m is.  Subsets are then grouped by (edge count, subset size) in one
-    bincount into an (m + 1) x (n + 1) table; the final probabilities are
-    compensated sums, keeping the result well inside 1e-12 of the exact
-    moments.
+    in float64.  The product is taken a block of high-half rows at a time,
+    BLOCK_ENTRIES subsets per block, each summed over chunks of edges whose
+    two matrices hold CHUNK_ENTRIES entries together; a single chunk keeps
+    its low-half matrix for every block.  Each block's subsets are grouped by
+    (edge count, subset size) in one bincount and added into an (m + 1) x
+    (n + 1) integer table, the same whatever the blocking, so the working
+    memory is O(2^ceil(n/2) chunk + block) whatever m is and never the
+    whole 2^n.  The final probabilities are compensated sums, keeping the
+    result well inside 1e-12 of the exact moments.
     """
     _check_p(p)
     if H.n > limit:
         raise BudgetError(f"2^{H.n} enumeration exceeds limit n <= {limit}")
     n, m = H.n, H.m
-    low = n // 2
-    lo, hi = np.arange(1 << low), np.arange(1 << (n - low))
+    low, high = n // 2, n - n // 2
+    lo, low_bits = np.arange(1 << low), (1 << low) - 1
     masks = np.left_shift(1, H.edges_arr).sum(axis=1)
     dtype = np.float32 if (m + 1) * (n + 1) <= 1 << 24 else np.float64
-    # key[hi, lo] = (n + 1) * (edges inside S) + |S|
-    key = np.add.outer(np.bitwise_count(hi), np.bitwise_count(lo)).astype(dtype)
-    chunk = max(1, CHUNK_ENTRIES // (hi.size + lo.size))
-    for start in range(0, m, chunk):
-        part = masks[start : start + chunk]
-        hi_holds = _contains(hi, part >> low, dtype)
-        lo_holds = _contains(lo, part & ((1 << low) - 1), dtype)
-        key += (n + 1) * hi_holds @ lo_holds.T
-    joint = np.bincount(key.astype(np.intp).ravel(), minlength=(m + 1) * (n + 1))
+    rows = min(max(1, BLOCK_ENTRIES >> low), 1 << high)
+    chunk = max(1, CHUNK_ENTRIES // (rows + lo.size))
+    parts = [masks[start : start + chunk] for start in range(0, m, chunk)]
+    lo_size = np.bitwise_count(lo)
+    # with one chunk of edges, its low-half matrix serves every block
+    kept = _contains(lo, parts[0] & low_bits, dtype) if len(parts) == 1 else None
+    joint = np.zeros((m + 1) * (n + 1), dtype=np.int64)
+    for top in range(0, 1 << high, rows):
+        hi = np.arange(top, min(top + rows, 1 << high))
+        # key[hi, lo] = (n + 1) * (edges inside S) + |S|
+        key = np.add.outer(np.bitwise_count(hi), lo_size).astype(dtype)
+        for part in parts:
+            lo_holds = _contains(lo, part & low_bits, dtype) if kept is None else kept
+            key += (n + 1) * _contains(hi, part >> low, dtype) @ lo_holds.T
+        joint += np.bincount(key.astype(np.intp).ravel(), minlength=joint.size)
     joint = joint.reshape(m + 1, n + 1)
     weight = [p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
     probabilities = {}

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -727,6 +728,24 @@ def test_oracle_budget_caps_enumeration_in_subsets(tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
     code, _, _ = run(["oracle", "--in", str(path), "--p", "0.3", "--dist", "--budget", "40000"])
     assert code == 0
+
+
+def test_oracle_dist_past_the_default_limit(tmp_path):
+    # disjoint 8x3 has n = 24: refused at the default n <= 22, allowed by --budget 2^24
+    path = tmp_path / "d.hgr"
+    write_hgr(disjoint_edges(8, 3), path)
+    argv = ["oracle", "--in", str(path), "--p", "0.3", "--dist"]
+    code, out, _ = run(argv + ["--budget", str(2**24)])
+    assert (code, out.count("\n")) == (0, 1)
+    result = json.loads(out)["result"]
+    q = 0.3**3
+    assert [x for x, _ in result["distribution"]] == list(range(9))
+    for x, pr in result["distribution"]:
+        assert pr == pytest.approx(comb(8, x) * q**x * (1 - q) ** (8 - x), abs=1e-12)
+    assert result["distribution_mean"] == pytest.approx(result["expectation"], abs=1e-12)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

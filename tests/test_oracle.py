@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, fsum
@@ -25,9 +26,9 @@ TOL = 1e-12
 
 def brute_force_law(H, p):
     """Independent oracle: walk all 2^n subsets with plain python ints."""
-    probs = {}
+    edges, probs = H.edges_arr.tolist(), {}
     for mask in range(1 << H.n):
-        x = sum(1 for edge in H.edges if all(mask >> v & 1 for v in edge))
+        x = sum(1 for edge in edges if all(mask >> v & 1 for v in edge))
         size = bin(mask).count("1")
         probs[x] = probs.get(x, 0.0) + p**size * (1 - p) ** (H.n - size)
     return probs
@@ -39,7 +40,7 @@ def masked_pass_law(H, p):
     n, m = H.n, H.m
     subsets = np.arange(1 << n, dtype=np.uint64)
     edge_count = np.zeros(1 << n, dtype=np.int64)
-    for edge in H.edges:
+    for edge in H.edges_arr.tolist():
         mask = np.uint64(sum(1 << v for v in edge))
         edge_count += (subsets & mask) == mask
     popcount = np.bitwise_count(subsets).astype(np.int64)
@@ -66,11 +67,11 @@ def brute_force_variance(H, p):
     k = H.k
     p2k = p ** (2 * k)
     terms = [p**k - p2k] * H.m
-    edge_sets = [set(edge) for edge in H.edges]
+    edge_sets = [set(edge) for edge in H.edges_arr.tolist()]
     for i, edge in enumerate(edge_sets):
         overlapping = set()
         for v in edge:
-            overlapping.update(H.incidence[v])
+            overlapping.update(H.edges_at(v).tolist())
         overlapping.discard(i)
         for j in overlapping:
             union = 2 * k - len(edge & edge_sets[j])
@@ -82,9 +83,9 @@ def brute_force_variance(H, p):
 
 def brute_force_profile(H):
     """B_1..B_{k-1} by meeting every ordered pair of distinct edges."""
-    profile = [0] * H.k
-    for e1 in H.edges:
-        for e2 in H.edges:
+    profile, edges = [0] * H.k, H.edges_arr.tolist()
+    for e1 in edges:
+        for e2 in edges:
             if e1 != e2:
                 profile[len(set(e1) & set(e2))] += 1
     return tuple(profile[1:])
@@ -219,7 +220,7 @@ def test_variance_covariance_terms_nonnegative():
     # recompute pairwise terms independently and check each one
     H = subgraph_hypergraph(complete(3), 5)
     p = 0.37
-    for e1, e2 in combinations(H.edges, 2):
+    for e1, e2 in combinations(H.edges_arr.tolist(), 2):
         union = len(set(e1) | set(e2))
         assert p**union - p ** (2 * H.k) >= 0.0
 
@@ -273,17 +274,67 @@ def test_distribution_matches_independent_enumeration(seed, p):
         assert pr == pytest.approx(oracle[x], abs=1e-12)
 
 
+def law_examples(test):
+    """The edge cases of both masked-pass properties: n = 1, m = 0, n odd, k = n."""
+    for H, p in [
+        (Hypergraph(n=1, k=1, edges=[(0,)]), 0.3),  # no low bits
+        (Hypergraph(n=1, k=3, edges=[]), 5e-324),
+        (Hypergraph(n=16, k=2, edges=[]), 0.5),
+        (Hypergraph(n=5, k=5, edges=[range(5)]), 1 - 2**-53),
+        (Hypergraph(n=16, k=16, edges=[range(16)]), 0.3),
+        (Hypergraph(n=15, k=5, edges=list(combinations(range(15), 5))[::50]), 0.7),
+    ]:
+        test = example(H, p)(test)
+    return test
+
+
 @given(hypergraphs(max_n=16), RETENTION)
-@example(Hypergraph(n=1, k=1, edges=[(0,)]), 0.3)  # no low bits
-@example(Hypergraph(n=1, k=3, edges=[]), 5e-324)
-@example(Hypergraph(n=16, k=2, edges=[]), 0.5)
-@example(Hypergraph(n=5, k=5, edges=[range(5)]), 1 - 2**-53)
-@example(Hypergraph(n=16, k=16, edges=[range(16)]), 0.3)
-@example(Hypergraph(n=15, k=5, edges=list(combinations(range(15), 5))[::50]), 0.7)
+@law_examples
 @settings(max_examples=300, deadline=None)
 def test_distribution_equals_masked_pass(H, p):
     law = exact_distribution(H, p).probabilities
     assert list(law.items()) == list(masked_pass_law(H, p).items())
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])  # 3 rows do not divide 2^(n - n // 2)
+@given(hypergraphs(max_n=16), RETENTION)
+@law_examples
+@settings(max_examples=100, deadline=None)
+def test_distribution_in_blocks_equals_masked_pass(rows, H, p):
+    # every n <= 16 fits one block of the default size: shrink the blocks to
+    # a few high-half rows and the edge chunks to a few edges, so both split
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("hypertail.oracle.BLOCK_ENTRIES", rows << (H.n // 2))
+        patch.setattr("hypertail.oracle.CHUNK_ENTRIES", 5 << (H.n // 2))
+        law = exact_distribution(H, p).probabilities
+    assert list(law.items()) == list(masked_pass_law(H, p).items())
+
+
+def traced_peak(call):
+    call()  # warm numpy's imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distribution_memory_is_bounded_by_blocks():
+    # K3 on K_7 (n = 21): the whole 2^21 key and its intp copy peak at 24 MiB
+    H = subgraph_hypergraph(complete(3), 7)
+    assert traced_peak(lambda: exact_distribution(H, 0.3)) < 6 * 2**20
+
+
+def test_distribution_past_the_default_limit_is_binomial():
+    # disjoint 8x3 (n = 24): a whole key would peak at 192 MiB
+    H, p = disjoint_edges(8, 3), 0.3
+    assert traced_peak(lambda: exact_distribution(H, p, limit=24)) < 6 * 2**20
+    law = exact_distribution(H, p, limit=24).probabilities
+    q = p**3
+    assert law.keys() == set(range(9))
+    for x, pr in law.items():
+        assert pr == pytest.approx(comb(8, x) * q**x * (1 - q) ** (8 - x), abs=TOL)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.93])
