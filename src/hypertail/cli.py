@@ -171,13 +171,14 @@ def _trial_config(args, seed) -> montecarlo.TrialConfig:
 
 
 def _niceness_params(args) -> bounds.NicenessParams:
+    """The niceness constants; a command that takes no --bk or --n0 does not read them."""
     return bounds.NicenessParams(
         p=args.p,
         lam=args.lam,
         gamma_cap=args.gamma,
         b=args.b,
-        b_k=args.bk,
-        n0=getattr(args, "n0", bounds.DEFAULT_N0),  # simulate --task p4 takes no --n0
+        b_k=getattr(args, "bk", bounds.DEFAULT_B_K),
+        n0=getattr(args, "n0", bounds.DEFAULT_N0),
     )
 
 
@@ -233,22 +234,21 @@ _NICE_GRID_KEYS = ("q", "trials", "violations", "ci_high", "trigger", "supported
 
 
 def _cmd_nice(args):
+    if args.p4_grid is None:  # the stochastic flags, --gamma and --b drive the P4 grid only
+        _parse_only(args, ("--in",) + NICE)
+    else:
+        _parse_only(args, COMMANDS["nice"][1], ("--gamma", "--b"))
     H = hgr.read_hgr(args.infile)
-    stats = stats_of(H)
     params = _niceness_params(args)
     evidence = None
-    record_params = _echo(args, ("--in",) + NICENESS)
-    if args.p4_grid is None:  # the stochastic flags drive the P4 grid only
-        _parse_only(args, ("--in",) + NICENESS)
-    else:
+    record_params = _echo(args, ("--in",) + NICE)
+    if args.p4_grid is not None:
         seed, auto = _resolve_seed(args)
-        cfg = _trial_config(args, seed)
         grid = _floats(args.p4_grid)
-        evidence = montecarlo.verify_p4(H, params, grid, cfg)
-        record_params.update(
-            _echo(args, ("--trials", "--workers")), p4_grid=grid, seed=seed, seed_auto=auto
-        )
-    report = bounds.check_nice(stats, params, p4_evidence=evidence)
+        evidence = montecarlo.verify_p4(H, params, grid, _trial_config(args, seed))
+        flags = ("--trials", "--workers", "--significance", "--gamma", "--b")
+        record_params.update(_echo(args, flags), p4_grid=grid, seed=seed, seed_auto=auto)
+    report = bounds.check_nice(stats_of(H), params, p4_evidence=evidence)
     p4 = {"status": report.p4_status}
     if evidence is not None:
         p4.update(
@@ -262,10 +262,10 @@ def _cmd_nice(args):
 
 def _cmd_bound(args):
     H = hgr.read_hgr(args.infile)
-    floats = _echo(args, NICENESS[:-1])  # main_bound's floats: all but --n0
+    floats = _echo(args, BOUND)
     with _blame_flag({f"--{key}": [value] for key, value in floats.items()}):
         mb = bounds.main_bound(stats_of(H), _niceness_params(args))
-    return _record("bound", _echo(args, ("--in",) + NICENESS), asdict(mb))
+    return _record("bound", {**_echo(args, ("--in",)), **floats}, asdict(mb))
 
 
 def _cmd_regime(args):
@@ -300,31 +300,28 @@ def _cmd_mcdiarmid(args):
     return _record("mcdiarmid", params, {"bound": value})
 
 
-def _schedule_from_args(args, n: int) -> percolation.ExposureSchedule:
+def _schedule_from_args(args, n: int, params: dict) -> percolation.ExposureSchedule:
+    """The schedule the flags give, added to ``params`` as its epsilon, rounds and strict_mode."""
     eps_range = tuple(_floats(args.eps_range)) if args.eps_range else None
     if eps_range is not None and len(eps_range) != 2:
         raise UsageError("--eps-range expects 'lo,hi'")
-    return percolation.build_schedule(
+    schedule = percolation.build_schedule(
         args.p, n, eps_range=eps_range, strict_mode=args.strict_mode, force_rounds=args.force_rounds
     )
+    params.update(epsilon=schedule.epsilon, rounds=schedule.rounds, strict_mode=args.strict_mode)
+    return schedule
 
 
 def _cmd_expose(args):
     H = hgr.read_hgr(args.infile)
-    schedule = _schedule_from_args(args, H.n)
+    params = _echo(args, ("--in", "--p", "--lambda", "--gamma", "--trials"))
+    schedule = _schedule_from_args(args, H.n, params)
     seed, auto = _resolve_seed(args)
     cfg = montecarlo.TrialConfig(master_seed=seed, trials=args.trials)
     per_round, _ = montecarlo.run_exposure_campaign(
         H, schedule, args.lam, args.gamma, cfg, montecarlo.LANE_EXPOSURE
     )
-    params = {
-        **_echo(args, ("--in", "--p", "--lambda", "--gamma", "--trials")),
-        "epsilon": schedule.epsilon,
-        "rounds": schedule.rounds,
-        "strict_mode": schedule.strict_mode,
-        "seed": seed,
-        "seed_auto": auto,
-    }
+    params.update(seed=seed, seed_auto=auto)
     return _record("expose", params, {"per_round": [asdict(r) for r in per_round]})
 
 
@@ -340,9 +337,12 @@ def _simulate_tail(args, H, cfg, params):
 
 def _simulate_p4(args, H, cfg, params):
     nice = _niceness_params(args)
+    top = montecarlo.Q_GRID_TOP  # the default grid runs from --p up to top
+    if not args.p4_grid and args.p > top:
+        raise UsageError(f"--p {args.p} is above {top}, the default q grid's top; give --p4-grid")
     grid = _floats(args.p4_grid) if args.p4_grid else list(montecarlo.geometric_q_grid(args.p))
     evidence = montecarlo.verify_p4(H, nice, grid, cfg)
-    params.update(_echo(args, ("--lambda", "--gamma", "--b", "--bk")), p4_grid=grid)
+    params.update(_echo(args, ("--lambda", "--gamma", "--b")), p4_grid=grid)
     result = asdict(evidence)
     result["grid"] = result.pop("points")
     return result
@@ -359,7 +359,7 @@ def _simulate_subgaussian(args, H, cfg, params):
 
 
 def _simulate_deg_moment(args, H, cfg, params):
-    schedule = _schedule_from_args(args, H.n)
+    schedule = _schedule_from_args(args, H.n, params)
     if not 0 <= args.round <= schedule.rounds:
         raise UsageError(f"--round must lie in [0, {schedule.rounds}]")
     stream = TrialStream(cfg.master_seed, 0, montecarlo.LANE_EXPOSURE)
@@ -367,12 +367,12 @@ def _simulate_deg_moment(args, H, cfg, params):
     report = montecarlo.check_degree_moment(
         H, state, schedule, cfg, vertices=args.vertices, continuations=args.continuations
     )
-    params.update(_echo(args, ("--round", "--continuations")))
+    params.update(_echo(args, ("--round", "--vertices", "--continuations")))
     return _result(report, holds=report.holds)
 
 
 def _simulate_deg_square_sum(args, H, cfg, params):
-    schedule = _schedule_from_args(args, H.n)
+    schedule = _schedule_from_args(args, H.n, params)
     report = montecarlo.check_degree_square_sum(H, schedule, args.lam, args.gamma, cfg)
     params.update(_echo(args, ("--lambda", "--gamma")))
     return _result(report, holds=report.holds)
@@ -384,7 +384,8 @@ def _cmd_simulate(args):
     handler, flags, required = TASKS[args.task]
     seed, auto = _resolve_seed(args)
     _parse_only(args, SIMULATE + flags, required)
-    params = {**_echo(args, SIMULATE), "seed": seed, "seed_auto": auto}  # the seed as resolved
+    sampled = tuple(flag for flag in SAMPLED if flag in flags)
+    params = {**_echo(args, SIMULATE + sampled), "seed": seed, "seed_auto": auto}
     result = handler(args, hgr.read_hgr(args.infile), _trial_config(args, seed), params)
     return _record("simulate", params, result)
 
@@ -418,12 +419,13 @@ def _cmd_ext(args):
         report = extensions.z_identity_check(
             spec, args.N, args.q, cfg, conditioned_target=args.conditioned
         )
+        params.update(_echo(args, ("--conditioned",)))
     elif args.task == "caps":
         if args.p is None:
             raise UsageError("--task caps requires --p")
         nice = _niceness_params(args)
         report = extensions.extension_cap_check(spec, args.N, args.q, nice, cfg)
-        params.update(_echo(args, ("--p", "--lambda", "--gamma", "--b")))
+        params.update(_echo(args, ("--p", "--lambda", "--gamma", "--b", "--significance")))
     else:
         raise UsageError(f"unknown ext task {args.task!r}")
     return _record("ext", params, asdict(report))
@@ -495,23 +497,31 @@ GEN_FAMILIES = {
     "disjoint": ("--m", "--k"),
     "random": ("--n", "--m", "--k", "--seed"),
 }
-NICENESS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
+# check_nice reads p, lambda and n0, main_bound all its constants but n0; ext takes all six
+NICE = ("--p", "--lambda", "--n0")
+BOUND = ("--p", "--lambda", "--gamma", "--b", "--bk")
+NICENESS = BOUND + ("--n0",)
 SCHEDULE = ("--eps-range", "--strict", "--force-rounds")
 
-# Every simulate task takes SIMULATE, and its record echoes them.  A task's row
-# is (handler, flags besides COMMON and SIMULATE, flags it requires); the
-# handler adds its own keys to the record's params and returns its result.
-SIMULATE = ("--in", "--task", "--p") + STOCHASTIC
+# Every simulate task takes SIMULATE; its record echoes them and those of SAMPLED its row
+# lists.  A task's row is (handler, flags besides COMMON and SIMULATE, flags it requires);
+# the handler adds its own keys to the record's params and returns its result.
+SIMULATE = ("--in", "--task", "--p", "--seed", "--workers")
+SAMPLED = ("--trials", "--significance")
 TASKS = {
-    "tail": (_simulate_tail, ("--thresholds",), ("--thresholds",)),
-    "p4": (_simulate_p4, ("--p4-grid", "--lambda", "--gamma", "--b", "--bk"), ()),
+    "tail": (_simulate_tail, SAMPLED + ("--thresholds",), ("--thresholds",)),
+    "p4": (_simulate_p4, SAMPLED + ("--p4-grid", "--lambda", "--gamma", "--b"), ()),
     "subgaussian": (
-        _simulate_subgaussian, ("--lambdas", "--variance-source", "--budget"), ("--lambdas",)
+        _simulate_subgaussian,
+        SAMPLED + ("--lambdas", "--variance-source", "--budget"),
+        ("--lambdas",),
     ),
     "deg-moment": (
         _simulate_deg_moment, SCHEDULE + ("--round", "--vertices", "--continuations"), ()
     ),
-    "deg-square-sum": (_simulate_deg_square_sum, SCHEDULE + ("--lambda", "--gamma"), ()),
+    "deg-square-sum": (
+        _simulate_deg_square_sum, ("--trials",) + SCHEDULE + ("--lambda", "--gamma"), ()
+    ),
 }
 # simulate parses every task's flags first; _cmd_simulate rejects those its task does not take
 TASK_FLAGS = tuple(dict.fromkeys(flag for row in TASKS.values() for flag in row[1]))
@@ -522,10 +532,10 @@ COMMANDS = {
     "stats": (_cmd_stats, ("--in",), ()),
     "nice": (
         _cmd_nice,
-        STOCHASTIC + ("--in",) + NICENESS + ("--p4-grid",),
-        ("--p", "--lambda", "--gamma", "--b"),
+        STOCHASTIC + ("--in",) + NICE + ("--gamma", "--b", "--p4-grid"),
+        ("--p", "--lambda"),
     ),
-    "bound": (_cmd_bound, ("--in",) + NICENESS, ("--p", "--lambda", "--gamma", "--b")),
+    "bound": (_cmd_bound, ("--in",) + BOUND, ("--p", "--lambda", "--gamma", "--b")),
     "regime": (_cmd_regime, PATTERN + ("--c1",), ("--N",)),
     "oracle": (_cmd_oracle, ("--budget", "--in", "--p", "--dist"), ("--p",)),
     "simulate": (_cmd_simulate, SIMULATE + TASK_FLAGS, ("--p",)),

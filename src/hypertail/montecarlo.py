@@ -296,9 +296,12 @@ def estimate_tail(
     return estimates
 
 
+Q_GRID_TOP = 0.9
+
+
 def geometric_q_grid(p: float) -> tuple[float, ...]:
-    """Geometric grid of 8 points from p up to 0.9 used to sample the q quantifier."""
-    ratio = (0.9 / p) ** (1.0 / 7)
+    """Geometric grid of 8 points from p up to Q_GRID_TOP used to sample the q quantifier."""
+    ratio = (Q_GRID_TOP / p) ** (1.0 / 7)
     return tuple(p * ratio**i for i in range(8))
 
 

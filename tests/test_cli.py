@@ -325,8 +325,7 @@ def test_nice_record_has_all_conditions(tmp_path):
     path = tmp_path / "t.hgr"
     run(["gen", "--family", "complete", "--r", "3", "--N", "10", "--out", str(path)])
     code, out, _ = run(
-        ["nice", "--in", str(path), "--p", "1e-3", "--lambda", "3", "--gamma", "10",
-         "--b", "1", "--bk", "0.01", "--n0", "10"]
+        ["nice", "--in", str(path), "--p", "1e-3", "--lambda", "3", "--n0", "10"]
     )
     record = json.loads(out)
     result = record["result"]
@@ -420,7 +419,7 @@ def test_simulate_workers_do_not_change_counts(tmp_path):
          "--trials", "1", "--seed", "3", "--conditioned", "20"],
         ["simulate", "--in", str(k3), "--p", "0.125", "--task", "deg-moment",
          "--eps-range", "0.1,0.5", "--force-rounds", "3", "--round", "1", "--vertices", "6",
-         "--continuations", "300", "--trials", "1", "--seed", "4"],
+         "--continuations", "300", "--seed", "4"],
     ):
         code, one, _ = run(argv + ["--workers", "1"])
         assert code == 0 and '"workers":1' in one
@@ -522,8 +521,10 @@ def no_trials(monkeypatch):
 @pytest.mark.parametrize("argv, name", [
     (["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--lambda", "nan"], "lam"),
     (["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--gamma", "nan"], "gamma_cap"),
-    (["nice", "--p", "0.3", "--lambda", "nan", "--gamma", "1", "--b", "1"], "lam"),
-    (["nice", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "nan"], "b"),
+    (["nice", "--p", "0.3", "--lambda", "nan", "--gamma", "1", "--b", "1", "--p4-grid", "0.5"],
+     "lam"),
+    (["nice", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "nan", "--p4-grid", "0.5"],
+     "b"),
 ], ids=["expose-lambda", "expose-gamma", "nice-lambda", "nice-b"])
 def test_nan_parameters_fail_before_any_trial(tmp_path, no_trials, argv, name):
     # NaN passes a `value <= 0` test; it must not reach the campaign
@@ -548,7 +549,7 @@ def test_nan_library_inputs_fail_before_any_trial(tmp_path, monkeypatch, no_tria
 
 
 @pytest.mark.parametrize("text, argv", [
-    ("1 1 1\n0\n", ["nice", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
+    ("1 1 1\n0\n", ["nice", "--p", "0.1", "--lambda", "2"]),
     ("1 1 1\n0\n", ["bound", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
     ("1 1 1\n0\n", ["expose", "--p", "0.125", "--eps-range", "0.1,0.5", "--seed", "1"]),
     ("3 5 0\n", ["bound", "--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1"]),
@@ -566,7 +567,9 @@ def test_degenerate_instances_are_infeasible(tmp_path, text, argv):
 NO_EFFECT_ARGV = {
     "gen": ["gen", "--family", "disjoint", "--m", "2", "--k", "2"],
     "stats": ["stats", "--in", "d.hgr"],
-    "nice": ["nice", "--in", "d.hgr", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "1"],
+    "nice": ["nice", "--in", "d.hgr", "--p", "0.3", "--lambda", "1"],
+    "nice-p4-grid": ["nice", "--in", "d.hgr", "--p", "0.3", "--lambda", "1", "--gamma", "1",
+                     "--b", "1", "--p4-grid", "0.5", "--trials", "2", "--seed", "1"],
     "bound": ["bound", "--in", "d.hgr", "--p", "0.3", "--lambda", "1", "--gamma", "1", "--b", "1"],
     "regime": ["regime", "--family", "complete", "--r", "3", "--N", "10", "--c1", "1"],
     "mcdiarmid": ["mcdiarmid", "--t", "1", "--lipschitz", "1,1"],
@@ -577,13 +580,13 @@ NO_EFFECT_ARGV = {
     "expose-strict": ["expose", "--in", "d.hgr", "--p", "0.001", "--strict",
                       "--trials", "2", "--seed", "1"],
     **{f"simulate-{task}": ["simulate", "--in", "d.hgr", "--p", "0.125", "--task", task,
-                            "--trials", "2", "--seed", "1", *extra]
+                            "--seed", "1", *extra]
        for task, extra in [
-           ("tail", ["--thresholds", "1"]),
-           ("p4", ["--p4-grid", "0.2"]),
-           ("subgaussian", ["--lambdas", "1"]),
+           ("tail", ["--thresholds", "1", "--trials", "2"]),
+           ("p4", ["--p4-grid", "0.2", "--trials", "2"]),
+           ("subgaussian", ["--lambdas", "1", "--trials", "2"]),
            ("deg-moment", ["--eps-range", "0.1,0.5", "--vertices", "2", "--continuations", "5"]),
-           ("deg-square-sum", ["--eps-range", "0.1,0.5"]),
+           ("deg-square-sum", ["--eps-range", "0.1,0.5", "--trials", "2"]),
        ]},
 }
 NO_EFFECT_VALUES = {"--trials": "5", "--workers": "2", "--significance": "0.05",
@@ -610,9 +613,20 @@ NO_EFFECT_VALUES = {"--trials": "5", "--workers": "2", "--significance": "0.05",
       for flag in ("--thresholds", "--bk", "--variance-source", "--gamma", "--n0")],
     *[("simulate-deg-square-sum", flag)
       for flag in ("--thresholds", "--p4-grid", "--budget", "--round", "--n0")],
-    # the stochastic flags drive nice's P4 grid only; strict mode pins the retention range
-    *[("nice", flag) for flag in ("--seed", "--trials", "--workers", "--significance")],
+    # the stochastic flags, --gamma and --b drive nice's P4 grid only; strict mode pins the
+    # retention range
+    *[("nice", flag)
+      for flag in ("--seed", "--trials", "--workers", "--significance", "--gamma", "--b")],
     ("expose-strict", "--eps-range"),
+    # the niceness constants a command's outcome does not depend on, and the sample size and
+    # CI level of the tasks that set neither
+    ("bound", "--n0"),
+    ("nice", "--bk"),
+    ("nice-p4-grid", "--bk"),
+    ("simulate-p4", "--bk"),
+    ("simulate-deg-moment", "--trials"),
+    ("simulate-deg-moment", "--significance"),
+    ("simulate-deg-square-sum", "--significance"),
 ])
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, command, flag):
     monkeypatch.chdir(tmp_path)
@@ -681,7 +695,7 @@ def test_out_of_range_inputs_are_one_error_line(tmp_path, monkeypatch, argv, exp
 ZCHECK = ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6", "--q", "0.5",
           "--trials", "5", "--seed", "1"]
 DEG_MOMENT = ["simulate", "--task", "deg-moment", *K3_N5, "--p", "0.125", "--eps-range", "0.1,0.5",
-              "--trials", "1", "--seed", "1"]
+              "--seed", "1"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -937,8 +951,7 @@ def test_simulate_degree_moment_task(tmp_path):
     run(["gen", "--family", "complete", "--r", "3", "--N", "8", "--out", str(path)])
     code, out, _ = run(["simulate", "--in", str(path), "--p", "0.125", "--task", "deg-moment",
                         "--eps-range", "0.1,0.5", "--force-rounds", "3", "--round", "1",
-                        "--vertices", "4", "--continuations", "400",
-                        "--trials", "1", "--seed", "23"])
+                        "--vertices", "4", "--continuations", "400", "--seed", "23"])
     assert code == 0
     record = json.loads(out)
     assert record["result"]["holds"] is True
@@ -965,20 +978,105 @@ def test_ext_caps_task():
     assert record["result"]["z1_violations"] == 0
 
 
-def test_record_is_replayable_from_its_own_params(tmp_path):
-    path = tmp_path / "d.hgr"
-    run(["gen", "--family", "disjoint", "--m", "40", "--k", "3", "--out", str(path)])
-    _, out, _ = run(["simulate", "--in", str(path), "--p", "0.3", "--task", "tail",
-                     "--thresholds", "1,3", "--trials", "500", "--seed", "33"])
-    record = json.loads(out)
-    p = record["params"]
-    argv = ["simulate", "--in", p["in"], "--p", repr(p["p"]), "--task", p["task"],
-            "--thresholds", ",".join(repr(t) for t in p["thresholds"]),
-            "--trials", str(p["trials"]), "--seed", str(p["seed"]),
-            "--workers", str(p["workers"]), "--significance", repr(p["significance"])]
-    _, replay, _ = run(argv)
-    counts = lambda text: [e["exceed_count"] for e in json.loads(text)["result"]["estimates"]]
-    assert counts(replay) == counts(out)
+# One record per command and per simulate and ext task, with a value other than
+# the default for every flag that changes a result.
+REPLAY_CASES = {
+    "gen": ["gen", "--family", "complete-bipartite", "--a", "3", "--b-side", "2", "--N", "6",
+            "--budget", "5000", "--out", "g.hgr"],
+    "stats": ["stats", "--in", "k3.hgr"],
+    "nice": ["nice", "--in", "k3.hgr", "--p", "0.1", "--lambda", "2", "--n0", "10"],
+    "nice-p4-grid": ["nice", "--in", "k3.hgr", "--p", "0.1", "--lambda", "2", "--n0", "10",
+                     "--gamma", "4", "--b", "0.5", "--p4-grid", "0.2,0.3", "--trials", "40",
+                     "--workers", "2", "--significance", "0.05", "--seed", "5"],
+    "bound": ["bound", "--in", "k3.hgr", "--p", "0.1", "--lambda", "2", "--gamma", "4",
+              "--b", "0.5", "--bk", "0.05"],
+    "regime": ["regime", "--family", "complete", "--r", "4", "--N", "50", "--c1", "0.1"],
+    "oracle": ["oracle", "--in", "k3.hgr", "--p", "0.3", "--dist"],
+    "mcdiarmid": ["mcdiarmid", "--t", "2", "--lipschitz", "1,0.5,0.25"],
+    "expose": ["expose", "--in", "k3.hgr", "--p", "0.125", "--eps-range", "0.1,0.5",
+               "--force-rounds", "3", "--lambda", "2", "--gamma", "4", "--trials", "20",
+               "--seed", "12"],
+    "expose-strict": ["expose", "--in", "k3.hgr", "--p", "1e-6", "--strict",
+                      "--force-rounds", "2", "--lambda", "2", "--gamma", "4", "--trials", "5",
+                      "--seed", "1"],
+    "simulate-tail": ["simulate", "--in", "disj.hgr", "--p", "0.3", "--task", "tail",
+                      "--thresholds", "1,3", "--trials", "300", "--workers", "2",
+                      "--significance", "0.05", "--seed", "33"],
+    "simulate-p4": ["simulate", "--in", "k3.hgr", "--p", "0.1", "--task", "p4",
+                    "--p4-grid", "0.2,0.3", "--lambda", "2", "--gamma", "4", "--b", "0.5",
+                    "--trials", "60", "--significance", "0.05", "--seed", "8"],
+    "simulate-subgaussian": ["simulate", "--in", "k3.hgr", "--p", "0.3", "--task", "subgaussian",
+                             "--lambdas", "0.5,1", "--variance-source", "plugin",
+                             "--trials", "200", "--significance", "0.05", "--seed", "9"],
+    "simulate-deg-moment": ["simulate", "--in", "k3.hgr", "--p", "0.125", "--task", "deg-moment",
+                            "--eps-range", "0.1,0.5", "--force-rounds", "3", "--round", "1",
+                            "--vertices", "3", "--continuations", "100", "--seed", "10"],
+    "simulate-deg-square-sum": ["simulate", "--in", "k3.hgr", "--p", "0.125",
+                                "--task", "deg-square-sum", "--eps-range", "0.1,0.5",
+                                "--force-rounds", "3", "--lambda", "2", "--gamma", "2",
+                                "--trials", "50", "--seed", "11"],
+    "ext-balanced": ["ext", "--task", "balanced", "--family", "complete", "--r", "4",
+                     "--roots", "3"],
+    "ext-expected": ["ext", "--task", "expected", "--family", "complete-bipartite", "--a", "2",
+                     "--b-side", "3", "--roots", "3", "--N", "8", "--q", "0.4"],
+    "ext-zcheck": ["ext", "--task", "zcheck", "--family", "complete", "--r", "3", "--N", "6",
+                   "--q", "0.5", "--conditioned", "5", "--seed", "13"],
+    "ext-caps": ["ext", "--task", "caps", "--family", "complete", "--r", "3", "--N", "7",
+                 "--p", "0.2", "--q", "0.5", "--lambda", "2", "--gamma", "1000", "--b", "1",
+                 "--trials", "30", "--significance", "0.05", "--seed", "15"],
+}
+
+
+def params_argv(record) -> list[str]:
+    """The argv a record's params give: each key as the flag of its name, save
+    the keys that encode flags, which are mapped back by hand."""
+    params = dict(record["params"])
+    argv = [record["cmd"]]
+    pattern = params.pop("pattern", None)
+    if pattern is not None:  # "K3" or "K{2,3}"
+        sides = pattern[1:].strip("{}").split(",")
+        argv += ["--r", *sides] if len(sides) == 1 else ["--a", sides[0], "--b-side", sides[1]]
+    if "epsilon" in params:  # the schedule: epsilon = p^(1/rounds)
+        eps, rounds, strict = (params.pop(key) for key in ("epsilon", "rounds", "strict_mode"))
+        argv += ["--strict"] if strict else ["--eps-range", f"{eps!r},{eps!r}"]
+        argv += ["--force-rounds", str(rounds)]
+    for key, value in params.items():
+        if value is None or value is False or key == "seed_auto":
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if isinstance(value, list):
+            argv.append(",".join(map(repr, value)))
+        elif value is not True:
+            argv.append(value if isinstance(value, str) else repr(value))
+    if record["cmd"] == "gen":  # --out is never echoed, and gen prints a record only with it
+        argv += ["--out", record["result"]["path"]]
+    return argv
+
+
+def test_record_is_replayable_from_its_own_params(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_hgr(subgraph_hypergraph(complete(3), 6), tmp_path / "k3.hgr")
+    write_hgr(disjoint_edges(40, 3), tmp_path / "disj.hgr")
+    for case, argv in REPLAY_CASES.items():
+        code, out, err = run(argv)
+        assert code == 0, (case, err)
+        replay_argv = params_argv(json.loads(out))
+        code, replay, err = run(replay_argv)
+        assert code == 0, (case, err)
+        assert replay == out, (case, replay_argv)
+
+
+def test_default_p4_grid_above_its_top_is_a_usage_error(tmp_path, monkeypatch):
+    # the default grid runs from --p up to 0.9
+    monkeypatch.chdir(tmp_path)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    argv = ["simulate", "--task", "p4", "--in", "d.hgr", "--trials", "5", "--seed", "1"]
+    code, out, err = run([*argv, "--p", "0.95"])
+    assert (code, out) == (1, "")
+    assert err == "error: --p 0.95 is above 0.9, the default q grid's top; give --p4-grid\n"
+    assert run([*argv, "--p", "0.95", "--p4-grid", "0.96"])[0] == 0  # following the message works
+    code, out, _ = run([*argv, "--p", "0.9"])
+    assert code == 0 and len(json.loads(out)["result"]["grid"]) == 8
 
 
 def test_allocation_failure_is_one_error_line(tmp_path):
@@ -1111,18 +1209,24 @@ def command_argv(draw):
         return ["regime", *(str(a) for item in flags.items() for a in item)]
     argv = [command] if command in ("bound", "nice", "oracle") else ["simulate", "--task", command]
     flags = {"--in": "{in}", "--p": draw(prob)}
+    # nice draws only with --p4-grid, and reads --gamma and --b only then
+    drawn = command not in ("bound", "oracle") and (command != "nice" or draw(st.booleans()))
     if command in ("bound", "nice", "p4", "deg-square-sum"):
-        flags.update({"--lambda": draw(positive), "--gamma": draw(positive)})
-    if command in ("bound", "nice", "p4"):
+        flags["--lambda"] = draw(positive)
+    if command in ("bound", "p4", "deg-square-sum") or command == "nice" and drawn:
+        flags["--gamma"] = draw(positive)
+    if command in ("bound", "p4") or command == "nice" and drawn:
         flags["--b"] = draw(positive)
-        if draw(st.booleans()):
-            flags["--bk"] = draw(positive)
-            if command != "p4":  # simulate --task p4 takes no --n0
-                flags["--n0"] = draw(st.integers(-1, 20))
+    if command == "bound" and draw(st.booleans()):
+        flags["--bk"] = draw(positive)
+    if command == "nice" and draw(st.booleans()):
+        flags["--n0"] = draw(st.integers(-1, 20))
     if command == "oracle" and draw(st.booleans()):
         flags["--budget"] = draw(st.integers(-1, 300))
-    if command not in ("bound", "oracle") and (command != "nice" or draw(st.booleans())):
-        flags.update({"--seed": "3", "--trials": draw(count)})
+    if drawn:
+        flags["--seed"] = "3"
+        if command != "deg-moment":  # its trial count is the number of vertices
+            flags["--trials"] = draw(count)
         if command == "nice" or command == "p4" and draw(st.booleans()):
             flags["--p4-grid"] = draw(listed(prob))
     if command == "tail":

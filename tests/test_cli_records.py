@@ -21,7 +21,9 @@ from hypertail import Hypergraph, complete, disjoint_edges, subgraph_hypergraph
 from hypertail.cli import FLAGS, dispatch
 from hypertail.hgr import write_hgr
 
-NICE = ["--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1", "--bk", "0.01", "--n0", "10"]
+NICE = ["--p", "0.1", "--lambda", "2", "--n0", "10"]
+NICE_GRID = [*NICE, "--gamma", "4", "--b", "1"]
+BOUND = ["--p", "0.1", "--lambda", "2", "--gamma", "4", "--b", "1", "--bk", "0.01"]
 SCHEDULE = ["--eps-range", "0.1,0.5", "--force-rounds", "3"]
 
 CASES = {
@@ -41,9 +43,9 @@ CASES = {
     "stats-isolated": ["stats", "--in", "isolated.hgr"],
     "stats-k1": ["stats", "--in", "k1.hgr"],
     "nice": ["nice", "--in", "k3.hgr", *NICE],
-    "nice-p4-grid": ["nice", "--in", "k3.hgr", *NICE, "--p4-grid", "0.2,0.3",
+    "nice-p4-grid": ["nice", "--in", "k3.hgr", *NICE_GRID, "--p4-grid", "0.2,0.3",
                      "--trials", "60", "--seed", "5"],
-    "bound": ["bound", "--in", "k3.hgr", *NICE],
+    "bound": ["bound", "--in", "k3.hgr", *BOUND],
     "regime-complete": ["regime", "--family", "complete", "--r", "3", "--N", "50", "--c1", "0.05"],
     "regime-bipartite": ["regime", "--family", "complete-bipartite", "--a", "2", "--b-side", "2",
                          "--N", "50", "--c1", "0.05"],
@@ -65,7 +67,7 @@ CASES = {
                                     "--seed", "9"],
     "simulate-deg-moment": ["simulate", "--in", "k3.hgr", "--p", "0.125", "--task", "deg-moment",
                             *SCHEDULE, "--round", "1", "--vertices", "3",
-                            "--continuations", "100", "--trials", "1", "--seed", "10"],
+                            "--continuations", "100", "--seed", "10"],
     "simulate-deg-square-sum": ["simulate", "--in", "k3.hgr", "--p", "0.125",
                                 "--task", "deg-square-sum", *SCHEDULE, "--lambda", "2",
                                 "--gamma", "2", "--trials", "50", "--seed", "11"],
@@ -89,14 +91,14 @@ CASES = {
 }
 
 DIGESTS = {
-    "bound": "c9e6480b5808f0722e56efa29c71ad90dda80715d0d1282b6f2801ce2f35a08b",
+    "bound": "5a0362fc0417cd4cbb378e67509cf9f738db43c54d8ca11d4c8953ed8c74a9b0",
     "expose": "23068ceccf5ed01aaa5ecb62a9bec64563ec5d3702a07a207f03b4df47875d2c",
     "ext-balanced": "69cd01a1b9369ee20e49e4f91b6350b7b75ea65ed6a91cb5251209ea01fb9870",
-    "ext-caps": "db5b2e6ef1b9ee65a83936250a31dddff1684b68195eae126c954c1e143e96ef",
-    "ext-caps-three-roots": "aca5499888ae00b02ae03b2a8e3f2a71ae806e5dcf3b907ce4a6aed6cdbc904c",
+    "ext-caps": "33c543b2cbfd932fa153c1dced2610545009c1848fef51b5508ea2eb7dee74f2",
+    "ext-caps-three-roots": "3b37d982c576c40208f17c4c2f389def5e7340cd335cfb6b72fea1e637d37f0f",
     "ext-expected": "15ac680bcf94a7b19fafde9ce0decc601886d7a5958429a05add7c6253ae179c",
-    "ext-zcheck-bipartite": "6fab2b11416ec03f0b491e7c0f1f6e82c432877ad2f459a118b90237facf9d6e",
-    "ext-zcheck-complete": "5ae60500bc8f083c834307578d0fa6a90d7d5b35f2ffc1bf7c7e0b3e8c5f0e4c",
+    "ext-zcheck-bipartite": "282c59e810b7a6e4569468fe423001fb9b3a515be9dddba5966f6250f1476e09",
+    "ext-zcheck-complete": "9e91fd224314cf2803965e445c256fea9a3d7e12cafabc9068cc69733cbb40f0",
     "gen-bipartite-out": "6539eed148c5a9c22d96e2b72f5cac70e05a823671cc96db90fe0901fb78005f",
     "gen-bipartite-stdout": "597d89486a17d4de5dee29d1b1bbf0ee7ab906b934f92f56f801df7845b1b511",
     "gen-complete-out": "52a35a5702a7c427f80bf8d150da7908d11be2d065aa05e6b2516988d6db0bd6",
@@ -106,15 +108,15 @@ DIGESTS = {
     "gen-random-out": "275bdb4be33400330f30551c432831d3f9f8bedee3e7056d937fb3a0bcc1c9aa",
     "gen-random-stdout": "2c2d3bfd8342057bf9cd7667ce1ac96397562c78bde6fd2d92a802605e7e3b00",
     "mcdiarmid": "6fb68c9fc359d48e3eb4c15eaf5d23d8b0f96834f9a5815a1b046ae8c18f3f89",
-    "nice": "632837788fcfb66b395203c72dae4bfd32da3d272a19abd7cb74492e1586855a",
-    "nice-p4-grid": "82e68a4ca5f875bc1675456943103368671ae1ce715be19a63b49dc376330e60",
+    "nice": "df4d791ae14089609beedc8ee224152bb90efb5fadb3e03e5bb009a478ffc421",
+    "nice-p4-grid": "dc2174d13daff2aef4a85a789d73c73e6d4c2b73674bcbaea5eacdb7c0ff2538",
     "oracle": "a2ea4465d0d8bfcb8ea1f81f53d62792249d9e711414b2ecf49bd71be7aaf790",
     "oracle-dist": "574f242cfac414de9803677452f6abc00d57ef02859b35de612d2ab959e8488f",
     "regime-bipartite": "ce813f2a0582350625a0df040f5c6bf4696747b972e900a74410f0f12892d909",
     "regime-complete": "668253fb3b4c9b91d4e744882d5feb1dfb825084bf029419a279665d774667a1",
-    "simulate-deg-moment": "6c74ad3e5ae3f2da925c09839d3e92b2c6c38787d78ddf4dfbe6060280ad99fb",
-    "simulate-deg-square-sum": "680d9302a4530941809b56a490876a71073d8ae48dc7fb4cba662bf858118c1b",
-    "simulate-p4": "d787688cdd2bd98da78ec58f341dbff0fcdb036c6ab4e6ac6ecfbfa99f53e3ad",
+    "simulate-deg-moment": "630af75adcaa85a5d00bc9c34dd8260ae37f33d4a6df91215e0cf81441566f90",
+    "simulate-deg-square-sum": "70728bd4957d5d6372deccc0ddf058d58cac7148e5cd56dd028ca5a909c93f3a",
+    "simulate-p4": "87f806069b4b53ff8c9b50b2610cea76ab3a89b373690a1319989b2a22ec5f57",
     "simulate-subgaussian-exact": "1a612ac92c5828ae77fc88262fb59a7a5218bd901d59552641df86da4684d653",
     "simulate-subgaussian-plugin": "576fa8534acf1b7fe069008023e93ef016a174d741d020c81693f5f0aa2b7c76",
     "simulate-tail": "13c32195e4d77faa6966d58b89b04491e5a2c694957bc6181112bc63139ca283",
@@ -166,24 +168,21 @@ def test_record_bytes_are_pinned(case, workdir, monkeypatch):
 # Every flag a record's params leave out, by command (and task), with its
 # reason.  Every other flag on an argv but --out and --config is echoed under
 # its name without the leading dashes, hyphens made underscores.
-#   encoded  another key carries the value: ``pattern``, or expose's
-#            ``epsilon``, ``rounds`` and ``strict_mode``
+#   encoded  another key carries the value: ``pattern``, or the exposure
+#            schedule's ``epsilon``, ``rounds`` and ``strict_mode``
 #   gate     it only decides whether the command can run
-#   unread   the command takes it but does not read it
-#   gap      it changes the result but is not echoed (ROADMAP item 14)
+#   unread   ext takes it in its shared flag set, but the task does not read it
 PATTERN_FLAGS = {"--r": "encoded", "--a": "encoded", "--b-side": "encoded"}
+SCHEDULE_FLAGS = {"--eps-range": "encoded", "--force-rounds": "encoded", "--strict": "encoded"}
 NICE_FLAGS = ("--p", "--lambda", "--gamma", "--b", "--bk", "--n0")
 OMITTED = {
     "gen": PATTERN_FLAGS,
     "regime": PATTERN_FLAGS,
     "oracle": {"--budget": "gate"},
-    "expose": {"--eps-range": "encoded", "--force-rounds": "encoded", "--strict": "encoded"},
-    "nice --p4-grid": {"--significance": "gap"},
+    "expose": SCHEDULE_FLAGS,
     "simulate subgaussian": {"--budget": "gate"},
-    "simulate deg-moment": {
-        "--strict": "gate", "--eps-range": "gap", "--force-rounds": "gap", "--vertices": "gap",
-    },
-    "simulate deg-square-sum": {"--strict": "gate", "--eps-range": "gap", "--force-rounds": "gap"},
+    "simulate deg-moment": SCHEDULE_FLAGS,
+    "simulate deg-square-sum": SCHEDULE_FLAGS,
     "ext balanced": {
         **PATTERN_FLAGS,
         **dict.fromkeys(("--seed", "--trials", "--workers", "--significance", "--N", "--q"),
@@ -197,12 +196,10 @@ OMITTED = {
     },
     "ext zcheck": {
         **PATTERN_FLAGS,
-        "--conditioned": "gap",
         **dict.fromkeys(("--significance", "--roots") + NICE_FLAGS, "unread"),
     },
     "ext caps": {
         **PATTERN_FLAGS,
-        "--significance": "gap",
         **dict.fromkeys(("--roots", "--bk", "--n0", "--conditioned"), "unread"),
     },
 }
@@ -217,7 +214,7 @@ BIPARTITE = ["--family", "complete-bipartite", "--a", "2", "--b-side", "2"]
 OMISSION_CASES = {
     "gen-budget": ["gen", "--family", "complete", "--r", "3", "--N", "5", "--budget", "100",
                    "--out", "g.hgr"],
-    "nice-p4-grid-significance": ["nice", "--in", "k3.hgr", *NICE, "--p4-grid", "0.2",
+    "nice-p4-grid-significance": ["nice", "--in", "k3.hgr", *NICE_GRID, "--p4-grid", "0.2",
                                   "--trials", "20", "--workers", "1", "--significance", "0.05",
                                   "--seed", "5"],
     "oracle-budget": ["oracle", "--in", "k3.hgr", "--p", "0.3", "--dist", "--budget", "40000"],
@@ -291,4 +288,4 @@ def test_every_pinned_omission_is_given_by_some_argv():
     pinned = {(row, flag) for row, flags in OMITTED.items() for flag in flags}
     assert pinned - given == set()
     reasons = {reason for flags in OMITTED.values() for reason in flags.values()}
-    assert reasons == {"encoded", "gate", "unread", "gap"}
+    assert reasons == {"encoded", "gate", "unread"}
