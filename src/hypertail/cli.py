@@ -161,10 +161,11 @@ def _graph_spec(args) -> generators.GraphSpec:
     raise UsageError(f"unsupported pattern family {args.family!r}")
 
 
-def _trial_config(args, seed) -> montecarlo.TrialConfig:
+def _trial_config(args, seed, trials=None) -> montecarlo.TrialConfig:
+    """The campaign settings; a task that takes no --trials gives its own ``trials``."""
     return montecarlo.TrialConfig(
         master_seed=seed,
-        trials=args.trials,
+        trials=args.trials if trials is None else trials,
         significance=args.significance,
         workers=args.workers,
     )
@@ -386,7 +387,9 @@ def _cmd_simulate(args):
     _parse_only(args, SIMULATE + flags, required)
     sampled = tuple(flag for flag in SAMPLED if flag in flags)
     params = {**_echo(args, SIMULATE + sampled), "seed": seed, "seed_auto": auto}
-    result = handler(args, hgr.read_hgr(args.infile), _trial_config(args, seed), params)
+    # deg-moment takes no --trials (nor a config file's trials): it runs a trial per vertex
+    cfg = _trial_config(args, seed, None if "--trials" in flags else 1)
+    result = handler(args, hgr.read_hgr(args.infile), cfg, params)
     return _record("simulate", params, result)
 
 

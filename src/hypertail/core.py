@@ -72,6 +72,26 @@ def _tables(ids: np.ndarray, sizes: np.ndarray, pad: int) -> tuple[np.ndarray, .
     return tuple(tables)
 
 
+def _int64_rows(edges, k: int) -> np.ndarray:
+    """A fresh (m, k) int64 array of ``edges``, an array or an iterable of
+    k-sequences of integers."""
+    raw = edges if isinstance(edges, np.ndarray) else [tuple(edge) for edge in edges]
+    try:
+        rows = np.array(raw, dtype=np.int64).reshape(len(raw), k)
+    except ValueError:  # ragged rows, or rows of another length
+        wrong = [edge for edge in raw if len(edge) != k]
+        if not wrong:
+            raise
+        raise ValueError(f"edge {tuple(wrong[0])} does not have {k} distinct vertices") from None
+    if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"):
+        given = np.reshape(raw, rows.shape)  # the int64 cast truncates 0.5 to 0
+        cut = np.flatnonzero((rows != given).any(axis=1))
+        if cut.size:
+            edge = tuple(given[cut[0]].tolist())
+            raise ValueError(f"edge {edge} has a vertex id that is not an integer")
+    return rows
+
+
 class Hypergraph:
     """Immutable k-uniform hypergraph on vertex ids 0..n-1.
 
@@ -80,33 +100,30 @@ class Hypergraph:
     ``incidence`` are tuple views of it.  Every derived item is built once,
     on first use, by whichever thread reads it first, so instances are safe
     to share across worker threads.
+
+    The constructor copies the given edges, so the caller's array stays as
+    it was and writeable.  The reader and the generators build a fresh
+    (m, k) int64 array for each hypergraph and hand it over with
+    ``_owned=True``: already canonical, that array itself becomes
+    ``edges_arr`` (made read-only); otherwise it is copied before any sort.
+    So ``H.edges_arr is rows`` after ``Hypergraph(n, k, rows, _owned=True)``
+    exactly when ``rows`` was canonical.
     """
 
-    def __init__(self, n: int, k: int, edges):
+    def __init__(self, n: int, k: int, edges, *, _owned: bool = False):
         if k < 1:
             raise ValueError(f"uniformity k must be >= 1, got {k}")
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        raw = edges if isinstance(edges, np.ndarray) else [tuple(edge) for edge in edges]
-        try:
-            rows = np.array(raw, dtype=np.int64).reshape(len(raw), k)
-        except ValueError:  # ragged rows, or rows of another length
-            wrong = [edge for edge in raw if len(edge) != k]
-            if not wrong:
-                raise
-            raise ValueError(f"edge {tuple(wrong[0])} does not have {k} distinct vertices") from None
-        if not (isinstance(raw, np.ndarray) and raw.dtype.kind in "iu"):
-            given = np.reshape(raw, rows.shape)  # the int64 cast truncates 0.5 to 0
-            cut = np.flatnonzero((rows != given).any(axis=1))
-            if cut.size:
-                edge = tuple(given[cut[0]].tolist())
-                raise ValueError(f"edge {edge} has a vertex id that is not an integer")
+        rows = edges if _owned else _int64_rows(edges, k)
         # canonical rows (strictly increasing, strictly lex-ascending) skip both
         # sorts; compared one column pair at a time, since one (m, k - 1)
         # comparison took 5x as long on K3 N=100 (k - 1 entries per inner loop)
         canonical = all((rows[:, j + 1] > rows[:, j]).all() for j in range(k - 1))
         repeated = np.zeros(len(rows), dtype=bool)
         if not canonical:
+            if rows is edges:  # an owned array is sorted only in a copy
+                rows = rows.copy()
             rows.sort(axis=1)
             repeated = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         bad = np.flatnonzero(repeated | (rows[:, 0] < 0) | (rows[:, -1] >= n))
@@ -120,6 +137,8 @@ class Hypergraph:
             dup = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
             if dup.size:
                 raise ValueError(f"duplicate edge {tuple(rows[dup[0] + 1].tolist())}")
+        # a writeable alias of the ids for deg: np.bincount copies a read-only input
+        self._ids = rows.reshape(-1)
         rows.setflags(write=False)
         self.n = int(n)
         self.k = int(k)
@@ -181,21 +200,24 @@ class Hypergraph:
         return _tables(ids, np.bincount(keys.ravel(), minlength=count), self.m)
 
     def _pair_codes(self) -> tuple[np.ndarray, int, np.ndarray | None]:
-        """(codes, base, labels): ``codes[e, j]`` is ``a * base + b`` for the
-        j-th vertex pair a < b inside edge e.
+        """(codes, base, labels): ``codes[j, e]`` is ``a * base + b`` for the
+        j-th vertex pair a < b inside edge e, in one fresh (C(k, 2), m) array.
 
         a and b are the vertex ids themselves while n^2 fits in int64, and
         their ranks in ``labels``, the ids that occur, beyond that.  The codes
         are int32 when n^2 fits in it.
         """
-        i, j = np.triu_indices(self.k, 1)  # the pairs in combinations(range(k), 2) order
         rows, base, labels = self.edges_arr, self.n, None
         if base * base > 2**63:
             labels, rows = np.unique(rows, return_inverse=True)
             rows, base = rows.reshape(self.edges_arr.shape), len(labels)
         dtype = np.int32 if base * base <= 2**31 else np.int64
-        rows = rows.astype(dtype, copy=False)
-        return rows[:, i] * dtype(base) + rows[:, j], base, labels
+        pairs = zip(*np.triu_indices(self.k, 1))  # in combinations(range(k), 2) order
+        codes = np.empty((self.k * (self.k - 1) // 2, self.m), dtype=dtype)
+        for code, (a, b) in zip(codes, pairs):  # each row in place, cast as it is filled
+            np.multiply(rows[:, a], base, out=code, dtype=dtype, casting="unsafe")
+            np.add(code, rows[:, b], out=code, dtype=dtype, casting="unsafe")
+        return codes, base, labels
 
     @_built_once
     def pair_index(self) -> "PairIndex":
@@ -204,8 +226,8 @@ class Hypergraph:
         A pair's dense id is the rank of its code among the distinct codes.
         """
         codes, base, labels = self._pair_codes()
-        uniq, ids = np.unique(codes, return_inverse=True)
-        ids = ids.reshape(codes.shape)
+        uniq, ids = np.unique(codes.T, return_inverse=True)
+        ids = ids.reshape(codes.T.shape)
         uniq = uniq.astype(np.int64)
         u, v = uniq // base, uniq % base
         if labels is not None:
@@ -233,7 +255,7 @@ class Hypergraph:
     @_built_once
     def deg(self) -> np.ndarray:
         """``deg[v]``: the number of edges containing v (read-only)."""
-        deg = np.bincount(self.edges_arr.ravel(), minlength=self.n)
+        deg = np.bincount(self._ids, minlength=self.n)
         deg.setflags(write=False)
         return deg
 

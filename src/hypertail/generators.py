@@ -155,7 +155,7 @@ def subgraph_hypergraph(spec: GraphSpec, N: int, budget: int = DEFAULT_ENUMERATI
     if m > budget:
         raise BudgetError(f"enumeration of {m} copies exceeds budget {budget}")
     edges = _pattern_edges(spec, N)  # enumerate here, so traces charge it to this layer
-    return Hypergraph(n=comb(N, 2), k=spec.e_g, edges=edges)
+    return Hypergraph(n=comb(N, 2), k=spec.e_g, edges=edges, _owned=True)
 
 
 def _check_edge_budget(m: int, k: int, budget: int) -> None:
@@ -170,7 +170,7 @@ def disjoint_edges(m_edges: int, k: int, budget: int = DEFAULT_ENUMERATION_BUDGE
         raise ValueError("disjoint_edges needs m_edges >= 1 and k >= 1")
     _check_edge_budget(m_edges, k, budget)
     edges = np.arange(m_edges * k, dtype=np.int64).reshape(m_edges, k)
-    return Hypergraph(n=m_edges * k, k=k, edges=edges)
+    return Hypergraph(n=m_edges * k, k=k, edges=edges, _owned=True)
 
 
 def random_uniform(
@@ -191,4 +191,5 @@ def random_uniform(
         edges = set()
         while len(edges) < m:
             edges.add(tuple(sorted(rng.choice(n, size=k, replace=False).tolist())))
-    return Hypergraph(n=n, k=k, edges=edges)
+    # the drawn rows are the constructor's to keep; the set of tuples it copies
+    return Hypergraph(n=n, k=k, edges=edges, _owned=isinstance(edges, np.ndarray))

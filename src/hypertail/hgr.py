@@ -9,11 +9,15 @@ deviation.
 Both directions work on bytes, a chunk at a time, so that every temporary of
 a chunk stays in a core's L2 cache.  The reader takes the file in whole-line
 chunks of about ``_CHUNK`` bytes: it checks and decodes each chunk into its
-rows of one preallocated (m, k) array, and builds the ``Hypergraph`` once
-from the full array.  The writer takes the edge array in blocks of rows whose
-lines fill at most ``_CHUNK`` bytes, formats each block into one uint8 buffer
-and writes it out, so no vertex id becomes a Python int; ``dumps`` joins the
-same blocks.
+rows of one preallocated (m, k) array, and hands that array over to the
+``Hypergraph`` constructor.  Rows in canonical order the constructor keeps
+as they are, as ``edges_arr``, so the edges are never copied.  Any other rows
+it sorts in a copy (or rejects, as it would a caller's), and the reader,
+given back another array than its own, rejects the file; so the rows are not
+compared again either.  The writer takes the edge array in blocks of rows
+whose lines fill at most ``_CHUNK`` bytes, formats each block into one uint8
+buffer and writes it out, so no vertex id becomes a Python int; ``dumps``
+joins the same blocks.
 """
 
 from __future__ import annotations
@@ -170,8 +174,8 @@ def loads(text: str | bytes) -> Hypergraph:
     if done != m:
         raise HgrFormatError(f"expected {m} edge lines, found {done}")
     rows = ids.reshape(m, k)
-    H = Hypergraph(n=n, k=k, edges=rows)
-    if not np.array_equal(rows, H.edges_arr):
+    H = Hypergraph(n=n, k=k, edges=rows, _owned=True)
+    if H.edges_arr is not rows:  # not canonical: the constructor sorted a copy
         raise HgrFormatError("edges must be sorted ascending and listed in lexicographic order")
     return H
 

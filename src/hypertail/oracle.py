@@ -175,14 +175,20 @@ def exact_distribution(
     # with one chunk of edges, its low-half matrix serves every block
     kept = _contains(lo, parts[0] & low_bits, dtype) if len(parts) == 1 else None
     joint = np.zeros((m + 1) * (n + 1), dtype=np.int64)
+    # one key, product and index buffer serve every block, so no block takes fresh pages
+    buffers = [np.empty((rows, lo.size), dtype=kind) for kind in (dtype, dtype, np.intp)]
     for top in range(0, 1 << high, rows):
         hi = np.arange(top, min(top + rows, 1 << high))
+        key, product, index = (buffer[: hi.size] for buffer in buffers)
         # key[hi, lo] = (n + 1) * (edges inside S) + |S|
-        key = np.add.outer(np.bitwise_count(hi), lo_size).astype(dtype)
+        np.add.outer(np.bitwise_count(hi), lo_size, out=key)
         for part in parts:
             lo_holds = _contains(lo, part & low_bits, dtype) if kept is None else kept
-            key += (n + 1) * _contains(hi, part >> low, dtype) @ lo_holds.T
-        joint += np.bincount(key.astype(np.intp).ravel(), minlength=joint.size)
+            np.matmul(_contains(hi, part >> low, dtype), lo_holds.T, out=product)
+            product *= n + 1
+            key += product
+        np.copyto(index, key, casting="unsafe")
+        joint += np.bincount(index.ravel(), minlength=joint.size)
     joint = joint.reshape(m + 1, n + 1)
     weight = [p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
     probabilities = {}

@@ -62,9 +62,10 @@ def uniform_block(master_seed: int, first: int, lane: int, count: int, n: int) -
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     counter = state["state"]["counter"]  # 64-bit words, least significant first
+    counter[3] = lane
     out = np.empty((count, n))
-    for t in range(count):
-        counter[2:] = first + t, lane
+    for trial, row in enumerate(out, first):
+        counter[2] = trial
         bitgen.state = state
-        gen.random(out=out[t])
+        gen.random(out=row)
     return out

@@ -237,6 +237,57 @@ def test_hgr_messages_past_the_first_chunk(monkeypatch, text, message):
 
 
 @pytest.mark.parametrize(
+    "text,error,message",
+    [
+        (
+            _k3n8("9 25 24", *_K3N8[41:]),
+            HgrFormatError,
+            "edges must be sorted ascending and listed in lexicographic order",
+        ),
+        (
+            _k3n8(_K3N8[41], _K3N8[40], *_K3N8[42:]),
+            HgrFormatError,
+            "edges must be sorted ascending and listed in lexicographic order",
+        ),
+        (_k3n8(_K3N8[40], *_K3N8[40:-1]), ValueError, "duplicate edge (9, 24, 25)"),
+        # the range check comes first, on the row as sorted
+        (
+            _k3n8("9 28 24", *_K3N8[41:]),
+            ValueError,
+            "edge (9, 24, 28) has a vertex id outside [0, 28)",
+        ),
+        (
+            _k3n8("9 9 24", *_K3N8[41:]),
+            ValueError,
+            "edge (9, 9, 24) does not have 3 distinct vertices",
+        ),
+    ],
+    ids=["unsorted-row", "swapped-lines", "duplicate-line", "unsorted-row-out-of-range",
+         "unsorted-row-repeated-id"],
+)
+def test_hgr_rows_the_constructor_sorts_are_rejected(text, error, message):
+    with pytest.raises(error) as exc:
+        loads(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_reader_keeps_its_edge_array():
+    # K3 on K_100, 161 700 edges: the reader's (m, 3) array becomes edges_arr,
+    # so the read peaks near one edge array (5.1 MiB, 1.37x), where a second
+    # copy and its comparison peaked at 8.3 MiB (2.24x)
+    raw = dumps(subgraph_hypergraph(complete(3), 100)).encode()
+    loads(raw)  # warm numpy outside the trace
+    tracemalloc.start()
+    try:
+        H = loads(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.m == 161_700 and not H.edges_arr.flags.writeable
+    assert peak < 1.5 * H.edges_arr.nbytes
+
+
+@pytest.mark.parametrize(
     "raw", [b"2 3 1\n0 \xff\n", "2 3 1\n0 １\n".encode()], ids=["byte-ff", "fullwidth-digit"]
 )
 def test_hgr_rejects_non_ascii_bytes(tmp_path, raw):
@@ -869,6 +920,19 @@ def test_config_file_supplies_defaults(tmp_path):
     assert record["params"]["trials"] == 120
     assert record["params"]["workers"] == 2
     assert [e["trials"] for e in record["result"]["estimates"]] == [120, 120]
+
+
+def test_config_trials_do_not_reach_deg_moment(tmp_path):
+    # deg-moment takes no --trials, so a config file's trials must not reach it
+    path = tmp_path / "k3.hgr"
+    run(["gen", "--family", "complete", "--r", "3", "--N", "6", "--out", str(path)])
+    argv = ["simulate", "--task", "deg-moment", "--in", str(path), "--p", "0.125",
+            "--eps-range", "0.1,0.5", "--seed", "1", "--vertices", "2", "--continuations", "5"]
+    code, out, err = run(argv)
+    assert code == 0, err
+    cfg = tmp_path / "cfg"
+    cfg.write_text("trials=0\n")
+    assert run([*argv, "--config", str(cfg)])[:2] == (0, out)
 
 
 def test_flags_override_config(tmp_path):

@@ -27,6 +27,25 @@ def test_validate_basic_construction():
     assert H.edges == ((0, 1, 2), (0, 1, 3), (2, 3, 4))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 1, 2], [0, 1, 3], [2, 3, 4]], [[2, 1, 0], [0, 1, 3], [4, 3, 2]], [[0, 1, 3], [0, 1, 2]]],
+    ids=["canonical", "unsorted-rows", "unsorted-list"],
+)
+def test_constructor_copies_a_callers_array(rows):
+    given = np.array(rows, dtype=np.int64)
+    before = given.copy()
+    H = Hypergraph(n=5, k=3, edges=given)
+    assert np.array_equal(given, before) and given.flags.writeable
+    assert not np.shares_memory(H.edges_arr, given) and not H.edges_arr.flags.writeable
+    assert H.edges == tuple(sorted(tuple(sorted(row)) for row in rows))
+    # the reader and the generators hand their own array over: kept exactly
+    # when it is canonical, else sorted in a copy, the array left as it was
+    owned = Hypergraph(n=5, k=3, edges=given, _owned=True)
+    assert owned == H and (owned.edges_arr is given) == (H.edges == tuple(map(tuple, rows)))
+    assert np.array_equal(given, before)
+
+
 def test_validate_rejects_duplicate_edges():
     with pytest.raises(ValueError, match="duplicate"):
         Hypergraph(n=3, k=3, edges=[(0, 1, 2), (2, 1, 0)])
