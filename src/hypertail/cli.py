@@ -78,41 +78,6 @@ def _result(report, drop=(), **extra) -> dict:
     return out
 
 
-def _load_config(path) -> dict:
-    config = {}
-    if path is None:
-        return config
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {line!r} is not key=value")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
-    return config
-
-
-# The flags a --config file may supply: their type and the default used when
-# neither the command line nor the file gives a value.
-CONFIG_KEYS = {
-    "seed": (str, None),
-    "trials": (int, 1000),
-    "workers": (int, 1),
-    "budget": (int, None),
-}
-
-
-def _apply_config(args, config: dict) -> None:
-    """Set every config-suppliable flag left unset: from the file, else its default."""
-    for key, (cast, default) in CONFIG_KEYS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, cast(config[key]) if key in config else default)
-    if getattr(args, "budget", None) is not None and args.budget < 1:
-        raise UsageError(f"--budget must be >= 1, got {args.budget}")
-
-
 def _resolve_seed(args) -> tuple[int, bool]:
     if args.seed is None:
         raise UsageError("stochastic command requires --seed (use '--seed auto' to draw one)")
@@ -161,13 +126,9 @@ def _graph_spec(args) -> generators.GraphSpec:
     raise UsageError(f"unsupported pattern family {args.family!r}")
 
 
-def _trial_config(args, seed, trials=None) -> montecarlo.TrialConfig:
-    """The campaign settings; a task that takes no --trials gives its own ``trials``."""
+def _trial_config(args, seed) -> montecarlo.TrialConfig:
     return montecarlo.TrialConfig(
-        master_seed=seed,
-        trials=args.trials if trials is None else trials,
-        significance=args.significance,
-        workers=args.workers,
+        master_seed=seed, trials=args.trials, significance=args.significance, workers=args.workers
     )
 
 
@@ -387,9 +348,7 @@ def _cmd_simulate(args):
     _parse_only(args, SIMULATE + flags, required)
     sampled = tuple(flag for flag in SAMPLED if flag in flags)
     params = {**_echo(args, SIMULATE + sampled), "seed": seed, "seed_auto": auto}
-    # deg-moment takes no --trials (nor a config file's trials): it runs a trial per vertex
-    cfg = _trial_config(args, seed, None if "--trials" in flags else 1)
-    result = handler(args, hgr.read_hgr(args.infile), cfg, params)
+    result = handler(args, hgr.read_hgr(args.infile), _trial_config(args, seed), params)
     return _record("simulate", params, result)
 
 
@@ -397,14 +356,10 @@ def _cmd_ext(args):
     spec = _graph_spec(args)
     params = {**_echo(args, ("--family", "--task")), "pattern": spec.label}
     if args.task == "balanced":
-        rg = extensions.build_rooted(spec, args.roots)
-        result = {
-            "roots": args.roots,
-            "s": rg.s,
-            "t": rg.t,
-            "density": rg.density,
-            "balanced": extensions.is_balanced(rg),
-        }
+        s, t = extensions.rooted_size(spec, args.roots)
+        extensions.check_balance_budget(s)  # before the pattern's v_G^2 pairs are built
+        balanced = extensions.is_balanced(extensions.build_rooted(spec, args.roots))
+        result = {"roots": args.roots, "s": s, "t": t, "density": t / s, "balanced": balanced}
         params.update(_echo(args, ("--roots",)))
         return _record("ext", params, result)
     if args.task == "expected":
@@ -439,14 +394,12 @@ def _cmd_ext(args):
 FLAGS = {
     # every command
     "--out": {},
-    "--config": {},
-    # _apply_config sets --budget, --seed, --trials and --workers when they
-    # are not given; gen, oracle and simulate take --budget
+    # gen, oracle and simulate take --budget; dispatch rejects one below 1
     "--budget": {"type": int},
     # stochastic
     "--seed": {},
-    "--trials": {"type": int},
-    "--workers": {"type": int},
+    "--trials": {"type": int, "default": 1000},
+    "--workers": {"type": int, "default": 1},
     "--significance": {"type": float, "default": 0.01},
     # input
     "--in": {"dest": "infile", "required": True},
@@ -489,7 +442,7 @@ FLAGS = {
     "--lipschitz": {"required": True},
 }
 
-COMMON = ("--out", "--config")
+COMMON = ("--out",)
 STOCHASTIC = ("--seed", "--trials", "--workers", "--significance")
 PATTERN = ("--family", "--r", "--a", "--b-side", "--N")
 # A family's flags besides --family: gen and regime take only those of the
@@ -600,7 +553,8 @@ def dispatch(argv=None, stdout=None, stderr=None) -> int:
         # the filters in force still apply; a shown warning is kept for stderr
         with warnings.catch_warnings(record=True) as caught:
             args = parser.parse_args(argv, argparse.Namespace(argv=argv))
-            _apply_config(args, _load_config(args.config))
+            if getattr(args, "budget", None) is not None and args.budget < 1:
+                raise UsageError(f"--budget must be >= 1, got {args.budget}")
             output = args.handler(args)
         if isinstance(output, dict):
             output = _dump(output) + "\n"

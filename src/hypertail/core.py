@@ -195,9 +195,11 @@ class Hypergraph:
     def pair_incidence_buckets(self) -> tuple[np.ndarray, ...]:
         """The ids of the edges at each pair of :attr:`pair_index`, in the
         power-of-two tables of :func:`_tables`, padded with m."""
-        keys, count = self.pair_index.edge_pair_ids, self.pair_index.count
-        ids = _stable_order(keys.ravel(), count) // keys.shape[1]
-        return _tables(ids, np.bincount(keys.ravel(), minlength=count), self.m)
+        index = self.pair_index
+        keys = index.edge_pair_ids
+        ids = _stable_order(keys.ravel(), index.count)
+        ids //= keys.shape[1]
+        return _tables(ids, index.codeg, self.m)
 
     def _pair_codes(self) -> tuple[np.ndarray, int, np.ndarray | None]:
         """(codes, base, labels): ``codes[j, e]`` is ``a * base + b`` for the
@@ -226,15 +228,15 @@ class Hypergraph:
         A pair's dense id is the rank of its code among the distinct codes.
         """
         codes, base, labels = self._pair_codes()
-        uniq, ids = np.unique(codes.T, return_inverse=True)
+        uniq, ids, codeg = np.unique(codes.T, return_inverse=True, return_counts=True)
         ids = ids.reshape(codes.T.shape)
         uniq = uniq.astype(np.int64)
         u, v = uniq // base, uniq % base
         if labels is not None:
             u, v = labels[u], labels[v]
-        for a in (ids, u, v):
+        for a in (ids, u, v, codeg):
             a.setflags(write=False)
-        return PairIndex(count=len(uniq), u=u, v=v, edge_pair_ids=ids)
+        return PairIndex(count=len(uniq), u=u, v=v, edge_pair_ids=ids, codeg=codeg)
 
     @_built_once
     def max_codegree(self) -> int:
@@ -278,13 +280,15 @@ class PairIndex:
     """Co-occurring vertex pairs of a hypergraph.
 
     ``edge_pair_ids[e, j]`` is the dense id of the j-th vertex pair inside
-    edge e; ``u``/``v`` give the endpoints of each dense pair id.
+    edge e; ``u``/``v`` give the endpoints of each dense pair id, and
+    ``codeg`` the number of edges that contain it.
     """
 
     count: int
     u: np.ndarray
     v: np.ndarray
     edge_pair_ids: np.ndarray
+    codeg: np.ndarray
 
 
 @dataclass(frozen=True)

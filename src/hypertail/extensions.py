@@ -115,6 +115,18 @@ def rooted_graph(vertex_count: int, root_count: int, edges) -> RootedGraph:
     return RootedGraph(vertex_count=vertex_count, root_count=root_count, edges=canon)
 
 
+def rooted_size(spec: GraphSpec, root_count: int) -> tuple[int, int]:
+    """``(s, t)`` of ``build_rooted(spec, root_count)``, from the spec alone:
+    it raises the same errors but enumerates none of the v_G^2 label pairs."""
+    if root_count not in (2, 3):
+        raise ValueError("root_count must be 2 or 3")
+    if spec.v_g < root_count + 1:
+        raise ValueError(f"{spec.label} has too few vertices for {root_count} roots")
+    # K_r joins every root pair; in K_{a,b} root 0 is joined to the others only
+    inside = comb(root_count, 2) if spec.family == "complete" else root_count - 1
+    return spec.v_g - root_count, spec.e_g - inside
+
+
 def build_rooted(spec: GraphSpec, root_count: int) -> RootedGraph:
     """Root a pattern graph at an edge (2 roots) or an edge plus one fixed
     neighbour of the first root (3 roots).
@@ -123,11 +135,8 @@ def build_rooted(spec: GraphSpec, root_count: int) -> RootedGraph:
     4 (the non-root part must be nonempty).  For bipartite patterns the third
     root is canonically taken from the second root's side.
     """
-    if root_count not in (2, 3):
-        raise ValueError("root_count must be 2 or 3")
+    rooted_size(spec, root_count)  # the root count and size checks
     n = spec.v_g
-    if n < root_count + 1:
-        raise ValueError(f"{spec.label} has too few vertices for {root_count} roots")
     if spec.family == "complete":
         return rooted_graph(n, root_count, combinations(range(n), 2))
     # root 0 is on the left side and the other roots on the right (a <= b and
@@ -138,14 +147,20 @@ def build_rooted(spec: GraphSpec, root_count: int) -> RootedGraph:
     return rooted_graph(n, root_count, ((x, y) for x in left for y in range(n) if y not in left))
 
 
+def check_balance_budget(s: int) -> None:
+    """Raise :class:`BudgetError` when ``is_balanced`` would enumerate more
+    than 2^BALANCE_BUDGET subsets of ``s`` non-root vertices."""
+    if s > BALANCE_BUDGET:
+        raise BudgetError(f"balancedness enumeration over 2^{s} subsets exceeds budget")
+
+
 def is_balanced(rg: RootedGraph) -> bool:
     """Whether no root-containing induced subgraph beats the full density.
 
     Enumerates every nonempty subset of the non-root vertices: 2^s subsets,
     so s above ``BALANCE_BUDGET`` (20) raises :class:`BudgetError`.
     """
-    if rg.s > BALANCE_BUDGET:
-        raise BudgetError(f"balancedness enumeration over 2^{rg.s} subsets exceeds budget")
+    check_balance_budget(rg.s)
     full = rg.density
     roots = range(rg.root_count)
     nonroots = range(rg.root_count, rg.vertex_count)
@@ -247,8 +262,7 @@ def expected_extensions(spec: GraphSpec, root_count: int, N: int, q: float) -> f
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"retention probability must lie in (0, 1), got {q}")
-    rg = build_rooted(spec, root_count)
-    s, t = rg.s, rg.t
+    s, t = rooted_size(spec, root_count)
     if spec.family == "complete":
         return comb(N - root_count, s) * q**t
     a, _ = spec.parts

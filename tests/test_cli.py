@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypertail
-from hypertail import Hypergraph, complete, disjoint_edges, hgr, subgraph_hypergraph
+from hypertail import Hypergraph, cli, complete, disjoint_edges, extensions, hgr, subgraph_hypergraph
 from hypertail.cli import dispatch
 from hypertail.hgr import HgrFormatError, dumps, loads, read_hgr, write_hgr
 
@@ -121,7 +121,8 @@ def test_hgr_round_trips_ids_of_every_width():
     H = Hypergraph(n=2**63 - 2, k=2, edges=list(zip(_WIDE_IDS, _WIDE_IDS[1:])))
     text = dumps(H)
     assert loads(text) == H and dumps(loads(text)) == text
-    assert loads("1 9223372036854775806 1\n9223372036854775805\n").edges == ((2**63 - 3,),)
+    single = loads("1 9223372036854775806 1\n9223372036854775805\n")
+    assert single.edges_arr.tolist() == [[2**63 - 3]]
 
 
 def test_hgr_disjoint_round_trip(tmp_path):
@@ -525,6 +526,24 @@ def test_ext_zcheck_record():
     assert record["result"]["all_equal"] is True
 
 
+@pytest.mark.parametrize("task, extra", [("balanced", []),
+                                         ("expected", ["--N", "30", "--q", "0.5"])])
+@pytest.mark.parametrize("pattern", [["complete", "--r", "23"],
+                                     ["complete-bipartite", "--a", "1", "--b-side", "22"]])
+def test_ext_past_the_balance_budget_builds_no_pattern(monkeypatch, task, extra, pattern):
+    # s = 21 non-root vertices: both tasks read s and t from the spec alone
+    def refuse(*args):
+        raise AssertionError("the rooted pattern was built")
+
+    monkeypatch.setattr(extensions, "rooted_graph", refuse)
+    code, out, err = run(["ext", "--task", task, "--family", *pattern, *extra])
+    if task == "balanced":
+        error = "error: balancedness enumeration over 2^21 subsets exceeds budget\n"
+        assert (code, out, err) == (2, "", error)
+    else:
+        assert code == 0 and json.loads(out)["result"]["expected_extensions"] > 0
+
+
 def test_ext_expected_record():
     code, out, _ = run(
         ["ext", "--task", "expected", "--family", "complete", "--r", "3", "--N", "10", "--q", "0.5"]
@@ -686,6 +705,22 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, comma
     code, out, err = run(NO_EFFECT_ARGV[command] + [flag, NO_EFFECT_VALUES[flag]])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(NO_EFFECT_ARGV))
+def test_config_is_an_unrecognized_argument(tmp_path, monkeypatch, command):
+    # every value a record depends on comes from its own argv
+    monkeypatch.chdir(tmp_path)
+    write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
+    argv = NO_EFFECT_ARGV[command] + ["--config", "x"]
+    assert run(argv) == (1, "", "error: unrecognized arguments: --config x\n")
+
+
+def test_every_flag_is_taken_by_some_command_or_task():
+    taken = set(cli.COMMON)
+    for _, flags, _ in (*cli.COMMANDS.values(), *cli.TASKS.values()):
+        taken.update(flags)
+    assert set(cli.FLAGS) - taken == set()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -852,33 +887,27 @@ TAIL_K3 = ["simulate", "--task", "tail", *K3_N5, "--p", "0.3", "--trials", "5"]
     (["ext", "--task", "balanced", "--family", "disjoint"], "unsupported pattern family 'disjoint'"),
     ([*TAIL_K3, "--thresholds", ",", "--seed", "1"], "expected a comma-separated list of numbers"),
     ([*TAIL_K3, "--thresholds", "1", "--seed", "x"], "--seed must be an integer or 'auto', got 'x'"),
-    ([*TAIL_K3, "--thresholds", "1", "--seed", "1", "--config", "bad.cfg"],
-     "config line 'trials' is not key=value"),
 ], ids=["gen-complete-no-r", "gen-complete-no-N", "gen-disjoint-no-k", "gen-random-no-n",
         "regime-disjoint", "regime-complete-no-r", "simulate-unknown-task",
         "deg-moment-round-past-schedule", "ext-expected-no-N", "ext-zcheck-no-q",
         "ext-caps-no-p", "ext-unknown-task", "ext-balanced-disjoint", "thresholds-empty",
-        "seed-not-integer", "config-line-without-equals"])
+        "seed-not-integer"])
 def test_usage_errors_are_one_line_naming_the_fault(tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     write_hgr(subgraph_hypergraph(complete(3), 5), tmp_path / "k3.hgr")
-    (tmp_path / "bad.cfg").write_text("trials\n")
     assert run(argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--budget", "0"],
     ["gen", "--family", "complete", "--r", "3", "--N", "5", "--budget", "-1"],
-    ["gen", "--family", "disjoint", "--m", "2", "--k", "2", "--config", "budget.cfg"],
     ["oracle", "--in", "d.hgr", "--p", "0.3", "--budget", "0"],
-    ["oracle", "--in", "d.hgr", "--p", "0.3", "--dist", "--config", "budget.cfg"],
     ["simulate", "--task", "subgaussian", "--in", "d.hgr", "--p", "0.3", "--lambdas", "1",
      "--trials", "5", "--seed", "1", "--budget", "0"],
-], ids=["gen-flag", "gen-negative", "gen-config", "oracle-flag", "oracle-config", "subgaussian"])
+], ids=["gen-flag", "gen-negative", "oracle-flag", "subgaussian"])
 def test_budget_below_one_is_usage_error(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     write_hgr(disjoint_edges(4, 3), tmp_path / "d.hgr")
-    (tmp_path / "budget.cfg").write_text("budget=0\n")
     code, out, err = run(argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -905,45 +934,6 @@ def test_malformed_hgr_is_usage_error(tmp_path):
     code, _, err = run(["stats", "--in", str(bad)])
     assert code == 1
     assert "header" in err
-
-
-def test_config_file_supplies_defaults(tmp_path):
-    path = tmp_path / "d.hgr"
-    run(["gen", "--family", "disjoint", "--m", "10", "--k", "3", "--out", str(path)])
-    cfg = tmp_path / "cfg"
-    cfg.write_text("seed=77\ntrials=120\nworkers=2\n")
-    code, out, _ = run(["simulate", "--in", str(path), "--p", "0.3", "--task", "tail",
-                        "--thresholds", "1,2", "--config", str(cfg)])
-    assert code == 0
-    record = json.loads(out)
-    assert record["params"]["seed"] == 77
-    assert record["params"]["trials"] == 120
-    assert record["params"]["workers"] == 2
-    assert [e["trials"] for e in record["result"]["estimates"]] == [120, 120]
-
-
-def test_config_trials_do_not_reach_deg_moment(tmp_path):
-    # deg-moment takes no --trials, so a config file's trials must not reach it
-    path = tmp_path / "k3.hgr"
-    run(["gen", "--family", "complete", "--r", "3", "--N", "6", "--out", str(path)])
-    argv = ["simulate", "--task", "deg-moment", "--in", str(path), "--p", "0.125",
-            "--eps-range", "0.1,0.5", "--seed", "1", "--vertices", "2", "--continuations", "5"]
-    code, out, err = run(argv)
-    assert code == 0, err
-    cfg = tmp_path / "cfg"
-    cfg.write_text("trials=0\n")
-    assert run([*argv, "--config", str(cfg)])[:2] == (0, out)
-
-
-def test_flags_override_config(tmp_path):
-    path = tmp_path / "d.hgr"
-    run(["gen", "--family", "disjoint", "--m", "10", "--k", "3", "--out", str(path)])
-    cfg = tmp_path / "cfg"
-    cfg.write_text("seed=77\n")
-    code, out, _ = run(["simulate", "--in", str(path), "--p", "0.3", "--task", "tail",
-                        "--thresholds", "1", "--trials", "10", "--seed", "5", "--config", str(cfg)])
-    record = json.loads(out)
-    assert record["params"]["seed"] == 5
 
 
 def test_records_go_to_out_file(tmp_path):

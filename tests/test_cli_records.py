@@ -166,7 +166,7 @@ def test_record_bytes_are_pinned(case, workdir, monkeypatch):
 # --- params ----------------------------------------------------------------
 
 # Every flag a record's params leave out, by command (and task), with its
-# reason.  Every other flag on an argv but --out and --config is echoed under
+# reason.  Every other flag on an argv but --out is echoed under
 # its name without the leading dashes, hyphens made underscores.
 #   encoded  another key carries the value: ``pattern``, or the exposure
 #            schedule's ``epsilon``, ``rounds`` and ``strict_mode``
@@ -259,7 +259,7 @@ def omission_row(argv) -> str:
 
 
 def given_flags(argv) -> list[str]:
-    return [tok for tok in argv if tok.startswith("--") and tok not in ("--out", "--config")]
+    return [tok for tok in argv if tok.startswith("--") and tok != "--out"]
 
 
 @pytest.mark.parametrize("case", sorted(RECORD_CASES))

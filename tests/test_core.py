@@ -13,6 +13,7 @@ from hypertail import (
     TrialConfig,
     codegree,
     complete,
+    core,
     stats_of,
     subgraph_hypergraph,
     verify_p4,
@@ -24,7 +25,7 @@ def test_validate_basic_construction():
     H = Hypergraph(n=5, k=3, edges=[{0, 1, 2}, {0, 1, 3}, {2, 3, 4}])
     assert H.m == 3
     assert H.n == 5
-    assert H.edges == ((0, 1, 2), (0, 1, 3), (2, 3, 4))
+    assert H.edges_arr.tolist() == [[0, 1, 2], [0, 1, 3], [2, 3, 4]]
 
 
 @pytest.mark.parametrize(
@@ -38,11 +39,11 @@ def test_constructor_copies_a_callers_array(rows):
     H = Hypergraph(n=5, k=3, edges=given)
     assert np.array_equal(given, before) and given.flags.writeable
     assert not np.shares_memory(H.edges_arr, given) and not H.edges_arr.flags.writeable
-    assert H.edges == tuple(sorted(tuple(sorted(row)) for row in rows))
+    assert H.edges_arr.tolist() == sorted(sorted(row) for row in rows)
     # the reader and the generators hand their own array over: kept exactly
     # when it is canonical, else sorted in a copy, the array left as it was
     owned = Hypergraph(n=5, k=3, edges=given, _owned=True)
-    assert owned == H and (owned.edges_arr is given) == (H.edges == tuple(map(tuple, rows)))
+    assert owned == H and (owned.edges_arr is given) == (H.edges_arr.tolist() == rows)
     assert np.array_equal(given, before)
 
 
@@ -173,7 +174,7 @@ def test_codegree_query_matches_brute_force(H):
     best = 0
     for u in range(H.n):
         for v in range(u + 1, H.n):
-            direct = sum(1 for edge in H.edges if u in edge and v in edge)
+            direct = sum(1 for edge in H.edges_arr.tolist() if u in edge and v in edge)
             assert codegree(H, u, v) == direct
             assert direct <= min(H.deg[u], H.deg[v])
             best = max(best, direct)
@@ -195,7 +196,7 @@ def test_stats_are_computed_once():
 
 def test_stats_are_pure():
     H = subgraph_hypergraph(complete(3), 5)
-    twin = Hypergraph(n=H.n, k=H.k, edges=H.edges)
+    twin = Hypergraph(n=H.n, k=H.k, edges=H.edges_arr.tolist())
     assert np.array_equal(H.deg, twin.deg)
     assert stats_of(H) == stats_of(twin)
 
@@ -212,7 +213,8 @@ def reference_pair_index(H):
 
 
 def reference_max_codegree(H):
-    return max(Counter(pair for e in H.edges for pair in combinations(e, 2)).values(), default=0)
+    pairs = Counter(pair for e in H.edges_arr.tolist() for pair in combinations(e, 2))
+    return max(pairs.values(), default=0)
 
 
 @st.composite
@@ -269,7 +271,8 @@ def bucket_columns(buckets, pad):
 def test_incidence_buckets_group_the_edges_of_each_vertex_and_pair(H):
     assume(H.n < 2**40)  # the buckets count per vertex id
     at_vertex, at_pair = defaultdict(list), defaultdict(list)
-    for e, (edge, pair_ids) in enumerate(zip(H.edges, H.pair_index.edge_pair_ids.tolist())):
+    edges, pair_ids_of = H.edges_arr.tolist(), H.pair_index.edge_pair_ids.tolist()
+    for e, (edge, pair_ids) in enumerate(zip(edges, pair_ids_of)):
         for v in edge:
             at_vertex[v].append(e)
         for pair in pair_ids:
@@ -292,6 +295,33 @@ def test_vertex_tables_build_within_five_edge_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 5 * H.edges_arr.nbytes
+
+
+def test_pair_grouping_copies_no_pair_id_array(monkeypatch):
+    # K4 on K_12: 495 edges of 15 pairs each, a 59 400 B pair id array.
+    # Counting the pairs with np.bincount copied that read-only array, and
+    # dividing the edge ids out of place made a second id array (numpy elides
+    # that temporary only for large arrays): 2.3 arrays were held before the
+    # tables were built; the pair index's counts and an in-place division
+    # leave 1.35
+    subgraph_hypergraph(complete(4), 6).pair_incidence_buckets  # warm numpy outside the trace
+    H = subgraph_hypergraph(complete(4), 12)
+    H.pair_index
+    tables, peaks = core._tables, []
+
+    def traced_tables(ids, sizes, pad):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return tables(ids, sizes, pad)
+
+    monkeypatch.setattr(core, "_tables", traced_tables)
+    tracemalloc.start()
+    try:
+        H.pair_incidence_buckets
+    finally:
+        tracemalloc.stop()
+    ids = H.pair_index.edge_pair_ids
+    assert peaks[0] < 1.5 * ids.nbytes
+    assert H.pair_index.codeg.tolist() == np.bincount(ids.ravel()).tolist()
 
 
 def test_pair_codes_do_not_overflow_past_int64():

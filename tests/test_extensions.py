@@ -24,7 +24,7 @@ from hypertail import (
     subgraph_hypergraph,
     z_identity_check,
 )
-from hypertail.extensions import ExtensionCapReport, GraphSample, RootedGraph
+from hypertail.extensions import ExtensionCapReport, GraphSample, RootedGraph, rooted_size
 from hypertail.montecarlo import LANE_EXTENSION
 
 
@@ -127,6 +127,16 @@ def test_build_rooted_equals_reference(roots):
                 build_rooted(spec, roots)
             continue
         assert build_rooted(spec, roots) == want, spec.label
+
+
+@pytest.mark.parametrize("roots", [2, 3])
+def test_rooted_size_matches_build_rooted(roots):
+    specs = [complete(r) for r in range(2, 7)]
+    specs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)]
+    for spec in specs:
+        if spec.v_g > roots:  # build_rooted rejects the rest through rooted_size
+            rg = build_rooted(spec, roots)
+            assert rooted_size(spec, roots) == (rg.s, rg.t), spec.label
 
 
 # --- balancedness ----------------------------------------------------------
@@ -504,7 +514,7 @@ def test_codegree_dominated_by_three_root_extensions():
         alive = sample.kept[H.edges_arr].all(axis=1)
         counts = {}
         for e in np.flatnonzero(alive):
-            for u, v in combinations(H.edges[e], 2):
+            for u, v in combinations(H.edges_arr[e].tolist(), 2):
                 counts[(u, v)] = counts.get((u, v), 0) + 1
         max_codeg = max(counts.values(), default=0)
         assert max_codeg <= 2 * z_max

@@ -403,7 +403,7 @@ def _reference_kept(H, q, cfg, lane, trial):
 
 def _reference_edge_counts(H, q, cfg):
     return [
-        sum(all(kept[v] for v in e) for e in H.edges)
+        sum(all(kept[v] for v in e) for e in H.edges_arr.tolist())
         for kept in (_reference_kept(H, q, cfg, LANE_TAIL, t) for t in range(cfg.trials))
     ]
 
@@ -418,7 +418,7 @@ def _reference_p4(H, params, q_grid, cfg):
         dmaxes, cmaxes, bad_deg, bad_codeg = [], [], [], []
         for t in range(cfg.trials):
             kept = _reference_kept(H, q, cfg, LANE_P4, qi * cfg.trials + t)
-            alive = [e for e in H.edges if all(kept[v] for v in e)]
+            alive = [e for e in H.edges_arr.tolist() if all(kept[v] for v in e)]
             deg = Counter(v for e in alive for v in e)
             codeg = Counter(pair for e in alive for pair in combinations(e, 2))
             cmax = max(codeg.values(), default=0) if trigger else 0

@@ -39,12 +39,12 @@ from hypertail.percolation import (
 
 def recount_edges(H, kept):
     """Independent oracle: python-loop count of fully surviving edges."""
-    return sum(1 for edge in H.edges if all(kept[v] for v in edge))
+    return sum(1 for edge in H.edges_arr.tolist() if all(kept[v] for v in edge))
 
 
 def recount_deg_sq(H, kept):
     deg = [0] * H.n
-    for edge in H.edges:
+    for edge in H.edges_arr.tolist():
         if all(kept[v] for v in edge):
             for v in edge:
                 deg[v] += 1
@@ -109,7 +109,10 @@ def test_surviving_codegree_query():
     codeg = {(int(a), int(b)): int(c) for a, b, c in zip(pairs.u, pairs.v, counts)}
     for u in range(0, H.n, 3):
         for v in range(u + 1, min(u + 3, H.n)):
-            direct = sum(1 for e, edge in enumerate(H.edges) if state.alive[e] and u in edge and v in edge)
+            direct = sum(
+                1 for e, edge in enumerate(H.edges_arr.tolist())
+                if state.alive[e] and u in edge and v in edge
+            )
             assert codeg.get((u, v), 0) == direct
 
 
@@ -128,7 +131,7 @@ def recount_extremes(H, words, size, codeg):
     co-degree or 0) of the edges whose word has bit j set."""
     out = []
     for j in range(size):
-        alive = [edge for edge, word in zip(H.edges, words) if word >> j & 1]
+        alive = [edge for edge, word in zip(H.edges_arr.tolist(), words) if word >> j & 1]
         deg = Counter(v for edge in alive for v in edge)
         pairs = Counter(pair for edge in alive for pair in combinations(edge, 2))
         out.append((
@@ -378,7 +381,7 @@ def recount_codeg_condition(H, alive, trigger):
     """Independent oracle for condition (4): python-loop co-degrees and degrees."""
     deg = [0] * H.n
     codeg = {}
-    for edge, live in zip(H.edges, alive):
+    for edge, live in zip(H.edges_arr.tolist(), alive):
         if live:
             for v in edge:
                 deg[v] += 1
@@ -400,7 +403,7 @@ def recount_codeg_condition(H, alive, trigger):
 def test_every_round_matches_recount_of_alive_and_codeg_condition(H, seed, trial, rounds, eps):
     schedule = build_schedule(eps**rounds, H.n, eps_range=(0.1, 0.9), force_rounds=rounds)
     for state in run_exposure(H, schedule, TrialStream(seed, trial)):
-        alive = [all(state.kept[v] for v in edge) for edge in H.edges]
+        alive = [all(state.kept[v] for v in edge) for edge in H.edges_arr.tolist()]
         assert state.alive.tolist() == alive
         report = check_preconditions(state, lam=2.0, gamma_cap=4.0)
         assert report.holds[3] == recount_codeg_condition(H, alive, state.codeg_trigger)
